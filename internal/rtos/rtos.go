@@ -129,6 +129,7 @@ type HybridScheduler struct {
 	tsCores []*platform.Core
 	tsReady []*Job // EDF-ordered
 	tsWake  *sim.Signal
+	tsProcs []*sim.Proc // one dispatcher per time-shared core
 
 	// space-shared side
 	ssFree []*platform.Core
@@ -158,9 +159,25 @@ func NewHybrid(k *sim.Kernel, p *platform.Platform, cfg Config) *HybridScheduler
 		s.ssFree = s.ssFree[1:]
 	}
 	for _, c := range s.tsCores {
-		s.runTimeShared(c)
+		s.tsProcs = append(s.tsProcs, s.runTimeShared(c))
 	}
 	return s
+}
+
+// Close kills the time-shared dispatchers, which otherwise wait for
+// work forever, and steps the kernel until they have unwound, so the
+// kernel has no live processes left and can be Reset for reuse.
+// Events due at the current instant may fire while they unwind. The
+// scheduler must not be used after Close.
+func (s *HybridScheduler) Close() {
+	for _, p := range s.tsProcs {
+		p.Kill()
+	}
+	s.K.Resume() // a Stop would stall the drain
+	for _, p := range s.tsProcs {
+		for !p.Dead() && s.K.Step() {
+		}
+	}
 }
 
 // Submit enqueues a job at the current virtual time.
@@ -213,8 +230,8 @@ func (s *HybridScheduler) enqueueTS(j *Job) {
 
 // runTimeShared is the per-core dispatcher loop: EDF with quantum
 // slicing, context-switch overhead charged on every dispatch.
-func (s *HybridScheduler) runTimeShared(c *platform.Core) {
-	s.K.Spawn(fmt.Sprintf("ts-%s", c.Name), func(p *sim.Proc) {
+func (s *HybridScheduler) runTimeShared(c *platform.Core) *sim.Proc {
+	return s.K.Spawn(fmt.Sprintf("ts-%s", c.Name), func(p *sim.Proc) {
 		for {
 			for len(s.tsReady) == 0 {
 				s.tsWake.Wait(p)

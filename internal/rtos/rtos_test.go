@@ -215,3 +215,24 @@ func TestStatsTurnaround(t *testing.T) {
 		t.Fatal("turnaround not computed")
 	}
 }
+
+// TestCloseUnwindsDispatchers: after the bag drains, the time-shared
+// dispatchers still wait for work; Close unwinds them, both when they
+// are idle and when one is mid-slice, so the kernel can be Reset.
+func TestCloseUnwindsDispatchers(t *testing.T) {
+	for _, until := range []sim.Time{100 * sim.Millisecond, 300 * sim.Microsecond} {
+		k := sim.NewKernel()
+		s := NewHybrid(k, mixedPlatform(k, 2, 2), DefaultConfig())
+		s.Submit(&Job{Name: "seq", Kind: Sequential, WorkCycles: 1_000_000})
+		s.Submit(&Job{Name: "par", Kind: Parallel, MaxWidth: 2, WorkCycles: 1_000_000})
+		k.RunUntil(until)
+		if k.LiveProcs() != 2 {
+			t.Fatalf("run until %v: %d live processes before Close, want the 2 dispatchers", until, k.LiveProcs())
+		}
+		s.Close()
+		if n := k.LiveProcs(); n != 0 {
+			t.Fatalf("run until %v: %d live processes after Close", until, n)
+		}
+		k.Reset() // panics on live processes
+	}
+}
