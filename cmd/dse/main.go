@@ -41,8 +41,11 @@
 // Results stream to -out as JSONL — a provenance header line followed
 // by one result per line, in point order — so a sweep is
 // byte-reproducible for a given -seed and can resume from a partial
-// file with -resume (the header is validated; resuming a file from a
-// different sweep or seed fails loudly).
+// file with -resume. The file is read in salvage mode (a torn final
+// line from a crash is dropped) and its header is validated: resuming
+// a file from a different sweep or seed fails loudly. Every file dse
+// and dsed write — output, shard, checkpoint, coordinator log — shares
+// this one format and one reader (dse.ReadLog).
 //
 // SIGINT/SIGTERM stop a sweep gracefully: in-flight evaluations
 // finish, the completed prefix is flushed as a valid -resume
@@ -248,9 +251,15 @@ func main() {
 
 	var prefix []dse.Result
 	if *resume && outPath != "-" {
-		prefix, err = dse.LoadCheckpoint(outPath, header, slice)
+		lg, err := dse.ReadLog(outPath, false)
 		if err != nil {
-			fatal(fmt.Errorf("resume: %w", err))
+			fatal(fmt.Errorf("resume: %w; delete it or drop -resume", err))
+		}
+		if lg != nil {
+			if err := lg.Header.Check(header); err != nil {
+				fatal(fmt.Errorf("resume: %s is from a different sweep (%v); delete it or drop -resume", outPath, err))
+			}
+			prefix = dse.MatchPrefix(slice, lg.Results)
 		}
 	}
 
@@ -355,21 +364,21 @@ func merge(glob, out string, pareto, hypervolume bool, baseline []dse.Result) {
 	if len(paths) == 0 {
 		fatal(fmt.Errorf("merge: no files match %q", glob))
 	}
-	m, err := dse.MergeShards(paths)
+	h, acc, err := dse.MergeShards(paths)
 	if err != nil {
 		fatal(err)
 	}
 	sink, closeSink := openSink(out)
 	defer closeSink()
-	if _, err := m.WriteTo(sink); err != nil {
+	if _, err := acc.WriteTo(sink, h); err != nil {
 		fatal(err)
 	}
 	if err := sink.Flush(); err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "dse: merged %d files -> %d points (%d duplicate lines dropped)\n",
-		len(paths), len(m.Results), m.Duplicates)
-	report(m.Results, pareto, hypervolume, baseline, reportWriter(out))
+		len(paths), acc.Done(), acc.Duplicates())
+	report(acc.Results(), pareto, hypervolume, baseline, reportWriter(out))
 }
 
 // openSink opens the JSONL output stream: stdout for "-", otherwise
@@ -401,11 +410,11 @@ func loadBaseline(path string) []dse.Result {
 	if path == "" {
 		return nil
 	}
-	sf, err := dse.ReadShardFile(path)
+	lg, err := dse.ReadLog(path, true)
 	if err != nil {
 		fatal(fmt.Errorf("hv-ref: %w", err))
 	}
-	return sf.Results
+	return lg.Results
 }
 
 // report prints the optional front table, scatter and hypervolume

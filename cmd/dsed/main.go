@@ -9,29 +9,30 @@
 // Usage:
 //
 //	dsed [-addr :9090] [-sweep SPEC] [-seed S] [-out FILE]
-//	     [-checkpoint FILE] [-checkpoint-dir DIR] [-resume]
+//	     [-checkpoint FILE] [-checkpoint-dir DIR]
 //	     [-max-sweeps N] [-disk-budget BYTES] [-affinity-debt C]
 //	     [-lease-timeout D] [-chunks N] [-drain-timeout D]
 //	     [-pareto] [-hypervolume] [-status-interval D] [-pprof]
 //
-// Two modes:
+// dsed is one sweep service. Tenants register sweeps over HTTP
+// (POST /sweeps with {"spec":..., "seed":...}), watch them
+// (GET /sweeps, GET /sweeps/{id}, GET /sweeps/{id}/front), fetch
+// finished output (GET /sweeps/{id}/result) and cancel
+// (DELETE /sweeps/{id}). Admission control bounds active sweeps
+// (-max-sweeps → 429) and checkpoint disk (-disk-budget → 507).
 //
-//   - Single-shot (boot) mode, the default: -sweep names one sweep,
-//     dsed serves it to workers, writes -out on completion and exits —
-//     the PR-6 coordinator behavior, unchanged.
+// -sweep (default "default") auto-registers one sweep at startup
+// exactly as POST /sweeps would; dsed then exits once every sweep is
+// done, writing that sweep's -out first. -sweep "" starts with an
+// empty registry and serves until signalled.
 //
-//   - Service mode, -sweep "": dsed starts with an empty registry and
-//     serves until signalled. Tenants register sweeps over HTTP
-//     (POST /sweeps with {"spec":..., "seed":...}), watch them
-//     (GET /sweeps, GET /sweeps/{id}, GET /sweeps/{id}/front), fetch
-//     finished output (GET /sweeps/{id}/result) and cancel
-//     (DELETE /sweeps/{id}). Admission control bounds active sweeps
-//     (-max-sweeps → 429) and checkpoint disk (-disk-budget → 507).
-//
-// With -checkpoint-dir every sweep keeps a crash-resumable append-only
-// log there; a restarted dsed rescans the directory and resumes every
-// sweep it finds, so a coordinator crash with N sweeps active loses
-// only unacked work. On SIGTERM/SIGINT the coordinator drains
+// Every sweep with a log resumes it on startup: -checkpoint FILE names
+// the -sweep log, and -checkpoint-dir DIR holds one log per sweep as
+// <sweep-id>.jsonl, all rescanned on restart. A log is appended to as
+// results are accepted, rewritten atomically into the sweep's final
+// bytes on completion and removed on cancel, so a coordinator crash
+// with N sweeps active loses only unacked work. A log from a different
+// sweep is refused. On SIGTERM/SIGINT the coordinator drains
 // gracefully: no new leases, in-flight leases flush (bounded by
 // -drain-timeout), checkpoints persist, exit 0. See docs/dsed.md for
 // the protocol and failure-mode reference.
@@ -69,12 +70,11 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":9090", "HTTP listen address for the worker protocol")
-	sweepSpec := flag.String("sweep", "default", "boot sweep preset (smoke, default) or dimension list; empty for multi-tenant service mode")
+	sweepSpec := flag.String("sweep", "default", "sweep preset (smoke, default) or dimension list registered at startup; dsed exits once every sweep is done. Empty: serve until signalled")
 	seed := flag.Uint64("seed", 1, "boot sweep seed; same seed + same sweep = identical output")
 	out := flag.String("out", "dse.jsonl", "final merged JSONL results file, written on boot-sweep completion")
-	checkpoint := flag.String("checkpoint", "", "append the boot sweep's accepted result lines to this JSONL log (crash protection)")
+	checkpoint := flag.String("checkpoint", "", "the -sweep sweep's JSONL log: resumed if present, appended to as results are accepted, final bytes on completion")
 	checkpointDir := flag.String("checkpoint-dir", "", "per-sweep checkpoint logs live here as <sweep-id>.jsonl; rescanned and resumed on restart")
-	resume := flag.Bool("resume", false, "re-accept the -checkpoint log before serving (header must match)")
 	maxSweeps := flag.Int("max-sweeps", 16, "admission limit on concurrently active sweeps (further POST /sweeps get 429)")
 	diskBudget := flag.Int64("disk-budget", 0, "refuse new sweeps with 507 once checkpoint logs exceed this many bytes; 0 = unlimited")
 	affinityDebt := flag.Float64("affinity-debt", 0, "fairness debt (EstCost units) another sweep must accumulate before a worker is rebalanced off its cached sweep; 0 = auto")
@@ -87,10 +87,6 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof profiling endpoints under /debug/pprof/")
 	flag.Parse()
 
-	if *resume && *checkpoint == "" && *checkpointDir == "" {
-		fatal(fmt.Errorf("-resume requires -checkpoint or -checkpoint-dir"))
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -101,7 +97,6 @@ func main() {
 		LeaseTimeout:    *leaseTimeout,
 		Chunks:          *chunks,
 		CheckpointPath:  *checkpoint,
-		Resume:          *resume,
 		CheckpointDir:   *checkpointDir,
 		MaxSweeps:       *maxSweeps,
 		DiskBudgetBytes: *diskBudget,
@@ -130,7 +125,7 @@ func main() {
 		mux.Handle("/", handler)
 		handler = mux
 	}
-	httpSrv := &http.Server{Handler: handler}
+	httpSrv := newHTTPServer(handler)
 	go func() {
 		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			fatal(err)
@@ -238,6 +233,22 @@ func main() {
 			fmt.Print(dse.HVTable(dse.Hypervolumes(results), false))
 		}
 	}
+}
+
+// Connection timeouts bound what a silent or idle client can pin: a
+// client must finish its request headers within readHeaderTimeout, and
+// a keep-alive connection idle for idleTimeout is closed. Whole-request
+// read and write deadlines stay unset — result uploads (up to 64 MiB)
+// and /sweeps/{id}/result downloads are legitimately long.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the coordinator handler in a server with the
+// connection timeouts above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 func fatal(err error) {

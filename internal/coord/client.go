@@ -513,19 +513,13 @@ func (w *Worker) resubmitCheckpoints(ctx context.Context) error {
 		return err
 	}
 	for _, path := range paths {
-		sf, err := dse.ReadShardFile(path)
+		lg, err := dse.ReadLog(path, true)
 		if err != nil {
 			w.log.Printf("%s: skipping bad checkpoint %s: %v", w.cfg.ID, path, err)
 			continue
 		}
-		sweepID := SweepID(sf.Header)
-		var lines bytes.Buffer
-		for _, r := range sf.Results {
-			if err := dse.WriteResult(&lines, r); err != nil {
-				return err
-			}
-		}
-		ack, err := w.submit(ctx, sweepID, 0, lines.Bytes())
+		sweepID := SweepID(lg.Header)
+		ack, err := w.submit(ctx, sweepID, 0, bytes.Join(lg.Raw, []byte("\n")))
 		if err != nil {
 			return err
 		}
@@ -536,7 +530,7 @@ func (w *Worker) resubmitCheckpoints(ctx context.Context) error {
 			w.log.Printf("%s: dropped checkpoint %s: sweep %s cancelled", w.cfg.ID, path, sweepID)
 			continue
 		}
-		w.log.Printf("%s: resubmitted %d checkpointed result(s) from %s", w.cfg.ID, len(sf.Results), path)
+		w.log.Printf("%s: resubmitted %d checkpointed result(s) from %s", w.cfg.ID, len(lg.Raw), path)
 	}
 	return nil
 }

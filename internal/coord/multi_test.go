@@ -465,7 +465,7 @@ func TestDrainGraceful(t *testing.T) {
 		t.Fatalf("draining register: HTTP %d, want 503", code)
 	}
 	// The in-flight lease flushes its results; drain completes.
-	if code, _, body := postLines(t, h, "w", l.Lease.ID, lines[l.Lease.Lo:l.Lease.Hi]); code != http.StatusOK {
+	if code, _, body := postLines(t, h, "w", l.Lease, lines[l.Lease.Lo:l.Lease.Hi]); code != http.StatusOK {
 		t.Fatalf("flush during drain: HTTP %d (%s)", code, body)
 	}
 	select {
@@ -477,7 +477,7 @@ func TestDrainGraceful(t *testing.T) {
 		t.Fatal("drain did not complete after in-flight lease flushed")
 	}
 	// The checkpoint is resumable exactly where the drain left it.
-	srv2, err := New(Config{Spec: "smoke", Seed: 1, CheckpointPath: ckpt, Resume: true})
+	srv2, err := New(Config{Spec: "smoke", Seed: 1, CheckpointPath: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("metric %s = %q, want non-zero", name, v)
 		}
 	}
-	n := len(srv.Points())
+	n := srv.Header().Points
 	if v, _ := strconv.Atoi(samples["coord_results_accepted_total"]); v != n {
 		t.Fatalf("coord_results_accepted_total = %s, want %d", samples["coord_results_accepted_total"], n)
 	}

@@ -262,11 +262,6 @@ type FrontSnapshot struct {
 // top-level counters aggregate over every registered sweep; Sweeps
 // carries the per-tenant rows.
 type Status struct {
-	// Spec and Seed identify the boot sweep on a single-shot
-	// coordinator; empty on a multi-tenant service.
-	Spec string `json:"spec,omitempty"`
-	// Seed is the boot sweep's seed.
-	Seed uint64 `json:"seed,omitempty"`
 	// Done counts points with an accepted result across all sweeps.
 	Done int `json:"done"`
 	// Total is the point count across all sweeps.

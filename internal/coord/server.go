@@ -21,11 +21,12 @@ import (
 
 // Config parameterizes a coordinator.
 type Config struct {
-	// Spec, when non-empty, boots the coordinator with one sweep
-	// already registered and puts it in single-shot mode: Done() closes
-	// (and workers are told to exit) once every registered sweep is
-	// terminal. Empty Spec is the multi-tenant service mode — sweeps
-	// arrive via POST /sweeps and the coordinator serves until stopped.
+	// Spec, when non-empty, names a boot sweep: New registers it exactly
+	// as POST /sweeps would, and the coordinator becomes single-shot —
+	// Done() closes (and workers are told to exit) once every
+	// registered sweep is terminal. Empty Spec is the multi-tenant
+	// service mode: sweeps arrive via POST /sweeps and the coordinator
+	// serves until stopped.
 	Spec string
 	// Seed is the boot sweep's seed; the whole determinism contract
 	// hangs off it.
@@ -37,18 +38,17 @@ type Config struct {
 	// into (grant size = sweep estimated cost / Chunks; reissues
 	// shrink from there). Default 32.
 	Chunks int
-	// CheckpointPath, when non-empty, is the boot sweep's append-only
-	// JSONL log of accepted result lines: header first, then lines in
-	// acceptance order. A coordinator restarted with Resume re-accepts
-	// it and continues; only unacked work is lost to a crash.
+	// CheckpointPath, when non-empty, names the boot sweep's log in
+	// place of <sweep-id>.jsonl under CheckpointDir. Like every sweep
+	// log it is resumed when present, so a restarted coordinator loses
+	// only unacked work.
 	CheckpointPath string
-	// Resume loads CheckpointPath instead of starting fresh.
-	Resume bool
 	// CheckpointDir, when non-empty, is the service's storage root:
-	// every registry sweep keeps its crash-resumable log there as
-	// <sweep-id>.jsonl (rewritten atomically into the canonical final
-	// bytes on completion), and a restarted coordinator rescans the
-	// directory and resumes every sweep it finds.
+	// every sweep keeps its log there as <sweep-id>.jsonl, and a
+	// restarted coordinator rescans the directory and resumes every
+	// sweep it finds. A sweep log is header first, then accepted lines
+	// in acceptance order; it is rewritten atomically into the
+	// canonical final bytes on completion and removed on cancel.
 	CheckpointDir string
 	// MaxSweeps bounds concurrently active sweeps; registration beyond
 	// it is refused with 429 + Retry-After. Default 16.
@@ -92,10 +92,10 @@ type Server struct {
 	order    []string // registration order; scheduling tie-break
 	workers  map[string]*workerState
 	draining bool
-	// bootID is the Config.Spec sweep's registry ID ("" in service
-	// mode); it selects single-shot semantics and resolves legacy
-	// requests that do not name a sweep.
-	bootID    string
+	// boot is the Config.Spec sweep, nil in service mode; its presence
+	// is the one boot-specific state: exit when every sweep is
+	// terminal.
+	boot      *sweep
 	done      chan struct{}
 	closeOnce sync.Once
 
@@ -108,8 +108,8 @@ type Server struct {
 }
 
 // New builds a coordinator: it rescans CheckpointDir and resumes every
-// sweep log found there, then registers the boot sweep (if any),
-// optionally resuming its checkpoint.
+// sweep log found there, then registers the boot sweep (if any) the
+// way POST /sweeps registers a tenant, resuming its log if present.
 func New(cfg Config) (*Server, error) {
 	if cfg.LeaseTimeout <= 0 {
 		cfg.LeaseTimeout = 30 * time.Second
@@ -149,15 +149,12 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		id := SweepID(header)
-		s.bootID = id
-		if _, ok := s.sweeps[id]; !ok {
-			ckptPath := cfg.CheckpointPath
-			managed := false
-			if ckptPath == "" && cfg.CheckpointDir != "" {
-				ckptPath = filepath.Join(cfg.CheckpointDir, id+".jsonl")
-				managed = true
+		if s.boot = s.sweeps[id]; s.boot == nil {
+			path := cfg.CheckpointPath
+			if path == "" {
+				path = s.logPath(id)
 			}
-			if _, err := s.adoptSweepLocked(header, points, ckptPath, managed, cfg.Resume); err != nil {
+			if s.boot, err = s.adoptSweepLocked(header, points, path, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -180,12 +177,22 @@ func expandSpec(spec string, seed uint64) ([]dse.Point, dse.Header, error) {
 	return points, dse.NewHeader(spec, seed, points, nil), nil
 }
 
+// logPath names a sweep's log under CheckpointDir ("" without one).
+func (s *Server) logPath(id string) string {
+	if s.cfg.CheckpointDir == "" {
+		return ""
+	}
+	return filepath.Join(s.cfg.CheckpointDir, id+".jsonl")
+}
+
 // rescanDir adopts every sweep log found in the checkpoint directory —
 // the whole-farm crash recovery path: a coordinator killed with N
 // sweeps active restarts, finds N logs, and resumes each one exactly
-// where its accepted lines end. Stale atomic-write temp files are
-// swept out first; files whose header does not reproduce its own spec
-// hash locally are skipped (foreign engine), never adopted.
+// where its accepted lines end. Each log is read once and adopted from
+// what was read. Stale atomic-write temp files are swept out first;
+// empty files and files whose header does not reproduce its own spec
+// hash locally (foreign engine) are skipped, never adopted; a log that
+// cannot be read is an error rather than a tenant silently dropped.
 func (s *Server) rescanDir() error {
 	if err := os.MkdirAll(s.cfg.CheckpointDir, 0o755); err != nil {
 		return err
@@ -201,20 +208,23 @@ func (s *Server) rescanDir() error {
 	}
 	sort.Strings(paths)
 	for _, path := range paths {
-		h, err := dse.PeekHeader(path)
+		lg, err := dse.ReadLog(path, false)
 		if err != nil {
-			s.cfg.Log.Printf("skipping unreadable checkpoint %s: %v", path, err)
+			return fmt.Errorf("coord: recovering %s: %w", path, err)
+		}
+		if lg == nil {
+			s.cfg.Log.Printf("skipping empty checkpoint %s", path)
 			continue
 		}
-		points, header, err := expandSpec(h.Spec, h.Seed)
-		if err != nil || header.SpecHash != h.SpecHash {
-			s.cfg.Log.Printf("skipping checkpoint %s: spec does not reproduce hash %s locally", path, h.SpecHash)
+		points, header, err := expandSpec(lg.Header.Spec, lg.Header.Seed)
+		if err != nil || header.SpecHash != lg.Header.SpecHash {
+			s.cfg.Log.Printf("skipping checkpoint %s: spec does not reproduce hash %s locally", path, lg.Header.SpecHash)
 			continue
 		}
 		if _, ok := s.sweeps[SweepID(header)]; ok {
 			continue
 		}
-		sw, err := s.adoptSweepLocked(header, points, path, true, true)
+		sw, err := s.adoptSweepLocked(header, points, path, lg)
 		if err != nil {
 			return err
 		}
@@ -223,17 +233,26 @@ func (s *Server) rescanDir() error {
 	return nil
 }
 
-// adoptSweepLocked builds, resumes and registers a sweep record. The
-// caller holds s.mu (or is the single-threaded constructor) and has
-// already checked admission and that the ID is free.
-func (s *Server) adoptSweepLocked(header dse.Header, points []dse.Point, ckptPath string, managed, resume bool) (*sweep, error) {
+// adoptSweepLocked builds, resumes and registers a sweep record — the
+// one registration path for boot sweeps, POST /sweeps and directory
+// recovery. The sweep's log at ckptPath is resumed: lg when the caller
+// already read it, otherwise read here (a missing file is a fresh
+// start). The caller holds s.mu (or is the single-threaded
+// constructor) and has already checked admission and that the ID is
+// free.
+func (s *Server) adoptSweepLocked(header dse.Header, points []dse.Point, ckptPath string, lg *dse.Log) (*sweep, error) {
 	sw := newSweep(header, points, s.cfg.Now())
 	sw.ckptPath = ckptPath
-	sw.managed = managed
 	sw.table = newLeaseTable(sw.costs, sw.totalCost/float64(s.cfg.Chunks), s.cfg.LeaseTimeout, sw.acc.Has)
 	sw.table.obs = s.leaseObs
-	if resume && ckptPath != "" {
-		if err := sw.resumeLog(); err != nil {
+	if lg == nil && ckptPath != "" {
+		var err error
+		if lg, err = dse.ReadLog(ckptPath, false); err != nil {
+			return nil, fmt.Errorf("coord: resume %s: %w", ckptPath, err)
+		}
+	}
+	if lg != nil {
+		if err := sw.resume(lg); err != nil {
 			return nil, err
 		}
 		if sw.acc.Done() > 0 {
@@ -247,11 +266,14 @@ func (s *Server) adoptSweepLocked(header dse.Header, points []dse.Point, ckptPat
 		}
 	}
 	sw.table.uncovered(0, len(points), 0)
-	if err := sw.openCheckpoint(); err != nil {
+	if err := sw.openLog(); err != nil {
 		return nil, err
 	}
 	s.sweeps[sw.id] = sw
 	s.order = append(s.order, sw.id)
+	if s.boot != nil && s.boot.id == sw.id {
+		s.boot = sw // the boot sweep re-registered after a cancel
+	}
 	s.registerSweepObsLocked(sw)
 	if sw.acc.Complete() {
 		s.completeSweepLocked(sw)
@@ -261,8 +283,8 @@ func (s *Server) adoptSweepLocked(header dse.Header, points []dse.Point, ckptPat
 
 // completeSweepLocked retires a sweep whose every point has an
 // accepted result: the append log is atomically replaced with the
-// canonical point-ordered final bytes (for managed sweeps) and the
-// sweep's Done channel closes.
+// canonical point-ordered final bytes and the sweep's Done channel
+// closes.
 func (s *Server) completeSweepLocked(sw *sweep) {
 	if sw.state != SweepActive {
 		return
@@ -270,10 +292,10 @@ func (s *Server) completeSweepLocked(sw *sweep) {
 	sw.state = SweepDone
 	sw.finished = s.cfg.Now()
 	sw.debt = 0
-	if err := sw.closeCheckpoint(); err != nil {
+	if err := sw.closeLog(); err != nil {
 		s.cfg.Log.Printf("sweep %s: closing checkpoint: %v", sw.id, err)
 	}
-	if err := sw.finalizeFile(); err != nil {
+	if err := sw.rewriteLog(); err != nil {
 		s.cfg.Log.Printf("sweep %s: finalizing %s: %v", sw.id, sw.ckptPath, err)
 	}
 	close(sw.done)
@@ -296,14 +318,10 @@ func (s *Server) cancelSweepLocked(sw *sweep) {
 	sw.state = SweepCancelled
 	sw.finished = s.cfg.Now()
 	sw.debt = 0
-	if err := sw.closeCheckpoint(); err != nil {
+	if err := sw.closeLog(); err != nil {
 		s.cfg.Log.Printf("sweep %s: closing checkpoint: %v", sw.id, err)
 	}
-	if sw.managed {
-		sw.removeFile()
-	} else {
-		sw.ckptBytes = 0
-	}
+	sw.removeFile()
 	if wasActive {
 		close(sw.done)
 	}
@@ -324,14 +342,17 @@ func (s *Server) removeSweepLocked(sw *sweep) {
 	s.unregisterSweepObsLocked(sw.id)
 }
 
-// maybeFinishLocked closes the coordinator's Done channel when a
-// single-shot (boot-sweep) run has no active sweeps left. A
-// multi-tenant service never finishes — it serves until stopped.
+// finishedLocked reports whether a single-shot (boot-sweep) run has no
+// active sweeps left. A multi-tenant service never finishes — it
+// serves until stopped.
+func (s *Server) finishedLocked() bool { return s.boot != nil && s.allTerminalLocked() }
+
+// maybeFinishLocked closes the coordinator's Done channel once a
+// single-shot run is finished.
 func (s *Server) maybeFinishLocked() {
-	if s.bootID == "" || !s.allTerminalLocked() {
-		return
+	if s.finishedLocked() {
+		s.closeOnce.Do(func() { close(s.done) })
 	}
-	s.closeOnce.Do(func() { close(s.done) })
 }
 
 // allTerminalLocked reports whether at least one sweep is registered
@@ -385,33 +406,15 @@ func (s *Server) reclaimAndGCLocked(now time.Time) {
 // terminal; a multi-tenant service leaves it open forever.
 func (s *Server) Done() <-chan struct{} { return s.done }
 
-// bootLocked returns the boot sweep record, nil in service mode.
-func (s *Server) bootLocked() *sweep {
-	if s.bootID == "" {
-		return nil
-	}
-	return s.sweeps[s.bootID]
-}
-
 // Header returns the boot sweep's provenance header (zero in service
 // mode).
 func (s *Server) Header() dse.Header {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sw := s.bootLocked(); sw != nil {
-		return sw.header
+	if s.boot != nil {
+		return s.boot.header
 	}
 	return dse.Header{}
-}
-
-// Points returns the boot sweep's expanded point list.
-func (s *Server) Points() []dse.Point {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sw := s.bootLocked(); sw != nil {
-		return sw.points
-	}
-	return nil
 }
 
 // Results returns the boot sweep's accepted results in point-ID order
@@ -420,8 +423,8 @@ func (s *Server) Points() []dse.Point {
 func (s *Server) Results() []dse.Result {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sw := s.bootLocked(); sw != nil {
-		return sw.acc.Completed()
+	if s.boot != nil {
+		return s.boot.acc.Completed()
 	}
 	return nil
 }
@@ -432,7 +435,7 @@ func (s *Server) Close() error {
 	defer s.mu.Unlock()
 	var first error
 	for _, id := range s.order {
-		if err := s.sweeps[id].closeCheckpoint(); err != nil && first == nil {
+		if err := s.sweeps[id].closeLog(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -487,7 +490,7 @@ func (s *Server) Drain(ctx context.Context) error {
 func (s *Server) WriteFinal(w io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sw := s.bootLocked()
+	sw := s.boot
 	if sw == nil {
 		return fmt.Errorf("coord: no boot sweep (service mode); use GET /sweeps/{id}/result")
 	}
@@ -537,9 +540,6 @@ func (s *Server) Status() Status {
 				remCost += sw.costs[i]
 			}
 		}
-	}
-	if sw := s.bootLocked(); sw != nil {
-		st.Spec, st.Seed = sw.header.Spec, sw.header.Seed
 	}
 	if elapsed := now.Sub(s.started).Seconds(); elapsed > 0 {
 		st.PointsPerSec = float64(ratePts-rateBasePts) / elapsed
@@ -656,11 +656,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if tomb, ok := s.sweeps[id]; ok {
 		s.removeSweepLocked(tomb) // cancelled tombstone: re-registration revives fresh
 	}
-	ckptPath := ""
-	if s.cfg.CheckpointDir != "" {
-		ckptPath = filepath.Join(s.cfg.CheckpointDir, id+".jsonl")
-	}
-	sw, err := s.adoptSweepLocked(header, points, ckptPath, ckptPath != "", true)
+	sw, err := s.adoptSweepLocked(header, points, s.logPath(id), nil)
 	if err != nil {
 		http.Error(w, "coord: registering sweep: "+err.Error(), http.StatusInternalServerError)
 		return
@@ -800,7 +796,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.Unlock()
 	ws := s.touchWorkerLocked(req.Worker, now)
 	s.reclaimAndGCLocked(now)
-	if s.bootID != "" && s.allTerminalLocked() {
+	if s.finishedLocked() {
 		writeJSON(w, LeaseResponse{Done: true})
 		return
 	}
@@ -885,16 +881,6 @@ func (s *Server) retryResponseLocked() LeaseResponse {
 	return LeaseResponse{RetryMS: retry.Milliseconds()}
 }
 
-// resolveSweepParam maps a request's sweep query parameter to its
-// record; "" falls back to the boot sweep (the single-sweep wire
-// format predates tenancy).
-func (s *Server) resolveSweepParamLocked(id string) *sweep {
-	if id == "" {
-		return s.bootLocked()
-	}
-	return s.sweeps[id]
-}
-
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
 	if !readJSON(w, r, &req) {
@@ -903,7 +889,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	now := s.cfg.Now()
 	s.mu.Lock()
 	s.touchWorkerLocked(req.Worker, now)
-	sw := s.resolveSweepParamLocked(req.Sweep)
+	sw := s.sweeps[req.Sweep]
 	resp := HeartbeatResponse{}
 	if sw == nil || sw.state == SweepCancelled {
 		resp.Cancelled = true
@@ -919,7 +905,8 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // disagreeing with an accepted result for the same point) rejects the
 // whole request with 409 — that is never a retry artifact, it means an
 // engine drifted. A batch for a cancelled or unknown sweep is
-// discarded with a Cancelled ack so the worker abandons the lease.
+// discarded with a Cancelled ack so the worker abandons the lease; so
+// is one that names no sweep.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
@@ -931,35 +918,40 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ws := s.touchWorkerLocked(worker, s.cfg.Now())
-	sw := s.resolveSweepParamLocked(r.URL.Query().Get("sweep"))
+	sw := s.sweeps[r.URL.Query().Get("sweep")]
 	if sw == nil || sw.state == SweepCancelled {
 		writeJSON(w, ResultAck{Cancelled: true})
 		return
 	}
 	ack := ResultAck{}
+	var batch []byte
+	var conflict error
 	for _, line := range bytes.Split(body, []byte("\n")) {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
 		added, err := sw.acc.Add(line)
 		if err != nil {
-			s.obs.conflicts.Inc()
-			s.cfg.Log.Printf("conflict from %s (sweep %s lease %d): %v", worker, sw.id, leaseID, err)
-			http.Error(w, "coord: "+err.Error(), http.StatusConflict)
-			return
+			conflict = err
+			break
 		}
 		if !added {
 			ack.Duplicates++
 			continue
 		}
 		ack.Accepted++
-		if err := sw.appendCheckpoint(lastPointID(line)); err != nil {
-			http.Error(w, "coord: checkpoint: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
+		batch = append(append(batch, line...), '\n')
 	}
-	if err := sw.flushCheckpoint(); err != nil {
+	// Lines accepted ahead of a conflict are logged too: the
+	// accumulator holds them either way.
+	if err := sw.appendLog(batch); err != nil {
 		http.Error(w, "coord: checkpoint: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	if conflict != nil {
+		s.obs.conflicts.Inc()
+		s.cfg.Log.Printf("conflict from %s (sweep %s lease %d): %v", worker, sw.id, leaseID, conflict)
+		http.Error(w, "coord: "+conflict.Error(), http.StatusConflict)
 		return
 	}
 	ws.accepted += int64(ack.Accepted)
@@ -970,16 +962,8 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	if sw.acc.Complete() {
 		s.completeSweepLocked(sw)
 	}
-	ack.Done = s.bootID != "" && s.allTerminalLocked()
+	ack.Done = s.finishedLocked()
 	writeJSON(w, ack)
-}
-
-// lastPointID extracts the point ID from an accepted line. The line
-// already passed Accumulator validation, so decoding cannot fail.
-func lastPointID(line []byte) int {
-	var r dse.Result
-	_ = json.Unmarshal(line, &r)
-	return r.Point.ID
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -3,7 +3,6 @@ package coord
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -96,22 +95,11 @@ func postJSON(t *testing.T, h http.Handler, path string, in, out any) int {
 	return rec.Code
 }
 
-// postLines submits JSONL result lines, returning the status code,
-// ack and error body.
-func postLines(t *testing.T, h http.Handler, worker string, lease int64, lines [][]byte) (int, ResultAck, string) {
+// postLines submits JSONL result lines for a lease (its sweep and ID),
+// returning the status code, ack and error body.
+func postLines(t *testing.T, h http.Handler, worker string, l *Lease, lines [][]byte) (int, ResultAck, string) {
 	t.Helper()
-	body := bytes.Join(lines, []byte("\n"))
-	path := fmt.Sprintf("/results?worker=%s&lease=%d", worker, lease)
-	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	var ack ResultAck
-	if rec.Code == http.StatusOK {
-		if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return rec.Code, ack, rec.Body.String()
+	return postLinesSweep(t, h, worker, l.Sweep, l.ID, lines)
 }
 
 // lease requests one lease for the worker.
@@ -160,20 +148,20 @@ func TestLeaseExpiryReclaimThenLateAck(t *testing.T) {
 
 	// A's heartbeat for the reclaimed lease is politely refused.
 	var hb HeartbeatResponse
-	postJSON(t, h, "/heartbeat", HeartbeatRequest{Worker: "A", Lease: la.Lease.ID}, &hb)
+	postJSON(t, h, "/heartbeat", HeartbeatRequest{Worker: "A", Sweep: la.Lease.Sweep, Lease: la.Lease.ID}, &hb)
 	if hb.Valid {
 		t.Fatal("heartbeat on a reclaimed lease reported valid")
 	}
 
 	// B delivers its (shrunken) range.
-	code, ack, body := postLines(t, h, "B", lb.Lease.ID, lines[lb.Lease.Lo:lb.Lease.Hi])
+	code, ack, body := postLines(t, h, "B", lb.Lease, lines[lb.Lease.Lo:lb.Lease.Hi])
 	if code != http.StatusOK || ack.Accepted != lb.Lease.Len() {
 		t.Fatalf("B submit: HTTP %d ack %+v (%s)", code, ack, body)
 	}
 
 	// A wakes up and submits its whole original range: the part B beat
 	// it to dedupes, the rest is accepted.
-	code, ack, body = postLines(t, h, "A", la.Lease.ID, lines[la.Lease.Lo:la.Lease.Hi])
+	code, ack, body = postLines(t, h, "A", la.Lease, lines[la.Lease.Lo:la.Lease.Hi])
 	if code != http.StatusOK {
 		t.Fatalf("late ack: HTTP %d (%s)", code, body)
 	}
@@ -193,7 +181,7 @@ func TestLeaseExpiryReclaimThenLateAck(t *testing.T) {
 		if lr.Lease == nil {
 			t.Fatalf("sweep stalled: %+v, status %+v", lr, srv.Status())
 		}
-		if code, _, body := postLines(t, h, "B", lr.Lease.ID, lines[lr.Lease.Lo:lr.Lease.Hi]); code != http.StatusOK {
+		if code, _, body := postLines(t, h, "B", lr.Lease, lines[lr.Lease.Lo:lr.Lease.Hi]); code != http.StatusOK {
 			t.Fatalf("drain submit: HTTP %d (%s)", code, body)
 		}
 	}
@@ -224,13 +212,13 @@ func TestConflictingBytesRejected(t *testing.T) {
 	}
 	h := srv.Handler()
 	l := requestLease(t, h, "w")
-	if code, _, _ := postLines(t, h, "w", l.Lease.ID, lines[l.Lease.Lo:l.Lease.Hi]); code != http.StatusOK {
+	if code, _, _ := postLines(t, h, "w", l.Lease, lines[l.Lease.Lo:l.Lease.Hi]); code != http.StatusOK {
 		t.Fatalf("seed submit: HTTP %d", code)
 	}
 
 	// Same point, different metrics bytes: conflict.
 	tampered := bytes.Replace(lines[l.Lease.Lo], []byte(`"makespan_ps":`), []byte(`"makespan_ps":9`), 1)
-	code, _, body := postLines(t, h, "w", l.Lease.ID, [][]byte{tampered})
+	code, _, body := postLines(t, h, "w", l.Lease, [][]byte{tampered})
 	if code != http.StatusConflict || !strings.Contains(body, "conflicting") {
 		t.Fatalf("tampered metrics: HTTP %d (%s), want 409/conflicting", code, body)
 	}
@@ -245,7 +233,7 @@ func TestConflictingBytesRejected(t *testing.T) {
 	if err := dse.WriteResult(&buf, r); err != nil {
 		t.Fatal(err)
 	}
-	code, _, body = postLines(t, h, "w", l.Lease.ID, [][]byte{bytes.TrimSuffix(buf.Bytes(), []byte("\n"))})
+	code, _, body = postLines(t, h, "w", l.Lease, [][]byte{bytes.TrimSuffix(buf.Bytes(), []byte("\n"))})
 	if code != http.StatusConflict || !strings.Contains(body, "does not match") {
 		t.Fatalf("drifted point: HTTP %d (%s), want 409/does not match", code, body)
 	}
@@ -265,7 +253,7 @@ func TestCheckpointResume(t *testing.T) {
 	}
 	h := srv.Handler()
 	l := requestLease(t, h, "w")
-	if code, _, _ := postLines(t, h, "w", l.Lease.ID, lines[l.Lease.Lo:l.Lease.Hi]); code != http.StatusOK {
+	if code, _, _ := postLines(t, h, "w", l.Lease, lines[l.Lease.Lo:l.Lease.Hi]); code != http.StatusOK {
 		t.Fatal("submit failed")
 	}
 	accepted := l.Lease.Len()
@@ -283,7 +271,8 @@ func TestCheckpointResume(t *testing.T) {
 	}
 	f.Close()
 
-	srv2, err := New(Config{Spec: spec, Seed: seed, Chunks: 4, CheckpointPath: ckpt, Resume: true})
+	// Restarting on the same checkpoint resumes it; no flag asks for it.
+	srv2, err := New(Config{Spec: spec, Seed: seed, Chunks: 4, CheckpointPath: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +288,7 @@ func TestCheckpointResume(t *testing.T) {
 		if lr.Lease == nil {
 			t.Fatalf("stalled: %+v", srv2.Status())
 		}
-		if code, _, body := postLines(t, h2, "w", lr.Lease.ID, lines[lr.Lease.Lo:lr.Lease.Hi]); code != http.StatusOK {
+		if code, _, body := postLines(t, h2, "w", lr.Lease, lines[lr.Lease.Lo:lr.Lease.Hi]); code != http.StatusOK {
 			t.Fatalf("submit: HTTP %d (%s)", code, body)
 		}
 	}
@@ -315,13 +304,26 @@ func TestCheckpointResume(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), referenceBytes(t, spec, seed)) {
 		t.Fatal("resumed output differs from the fault-free run")
 	}
-	if st := srv2.Status(); st.Total != len(points) || !st.Complete {
+	st := srv2.Status()
+	if st.Total != len(points) || !st.Complete {
 		t.Fatalf("final status %+v", st)
+	}
+	// The finished checkpoint is the sweep's final output, and its
+	// reported size is the file's.
+	final, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(final, got.Bytes()) {
+		t.Fatal("finished checkpoint differs from WriteFinal")
+	}
+	if st.Sweeps[0].CheckpointBytes != int64(len(final)) {
+		t.Fatalf("checkpoint_bytes %d, file holds %d", st.Sweeps[0].CheckpointBytes, len(final))
 	}
 
 	// A third resume from the now-complete checkpoint is done on
 	// arrival.
-	srv3, err := New(Config{Spec: spec, Seed: seed, CheckpointPath: ckpt, Resume: true})
+	srv3, err := New(Config{Spec: spec, Seed: seed, CheckpointPath: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,12 +377,12 @@ func TestStealDuplicatesStragglerTail(t *testing.T) {
 	// The straggler heartbeats (stays live) but completes only the
 	// first quarter. Past half the timeout its tail is stealable.
 	quarter := len(points) / 4
-	if code, _, _ := postLines(t, h, "slow", la.Lease.ID, lines[:quarter]); code != http.StatusOK {
+	if code, _, _ := postLines(t, h, "slow", la.Lease, lines[:quarter]); code != http.StatusOK {
 		t.Fatal("straggler submit failed")
 	}
 	clock.Advance(6 * time.Second)
 	var hb HeartbeatResponse
-	postJSON(t, h, "/heartbeat", HeartbeatRequest{Worker: "slow", Lease: la.Lease.ID}, &hb)
+	postJSON(t, h, "/heartbeat", HeartbeatRequest{Worker: "slow", Sweep: la.Lease.Sweep, Lease: la.Lease.ID}, &hb)
 	if !hb.Valid {
 		t.Fatal("straggler heartbeat refused")
 	}
@@ -392,10 +394,10 @@ func TestStealDuplicatesStragglerTail(t *testing.T) {
 		t.Fatalf("stolen range [%d,%d), want the tail half of the %d missing", lb.Lease.Lo, lb.Lease.Hi, len(points)-quarter)
 	}
 	// Both finish; the overlap dedupes; the file is clean.
-	if code, _, _ := postLines(t, h, "idle", lb.Lease.ID, lines[lb.Lease.Lo:lb.Lease.Hi]); code != http.StatusOK {
+	if code, _, _ := postLines(t, h, "idle", lb.Lease, lines[lb.Lease.Lo:lb.Lease.Hi]); code != http.StatusOK {
 		t.Fatal("thief submit failed")
 	}
-	code, ack, _ := postLines(t, h, "slow", la.Lease.ID, lines[quarter:])
+	code, ack, _ := postLines(t, h, "slow", la.Lease, lines[quarter:])
 	if code != http.StatusOK || ack.Duplicates != lb.Lease.Len() {
 		t.Fatalf("straggler finish: HTTP %d ack %+v, want %d duplicates", code, ack, lb.Lease.Len())
 	}
@@ -405,5 +407,104 @@ func TestStealDuplicatesStragglerTail(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), referenceBytes(t, spec, seed)) {
 		t.Fatal("output differs after steal + duplicate finish")
+	}
+}
+
+// TestBootCheckpointRefusesForeignSweep checks that a boot sweep whose
+// checkpoint belongs to another sweep fails loudly instead of
+// overwriting it or starting fresh.
+func TestBootCheckpointRefusesForeignSweep(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "boot.jsonl")
+	srv, err := New(Config{Spec: "smoke", Seed: 1, CheckpointPath: ckpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Spec: "smoke", Seed: 2, CheckpointPath: ckpt}); err == nil || !strings.Contains(err.Error(), "different sweep") {
+		t.Fatalf("foreign checkpoint: %v, want a different-sweep error", err)
+	}
+	if after, _ := os.ReadFile(ckpt); !bytes.Equal(after, before) {
+		t.Fatal("refused checkpoint was modified")
+	}
+}
+
+// TestRequestsWithoutSweepCancelled checks that result submissions and
+// heartbeats naming no sweep are answered Cancelled, not routed to the
+// boot sweep: real workers always name the sweep of their lease.
+func TestRequestsWithoutSweepCancelled(t *testing.T) {
+	_, lines := sweepLines(t, "smoke", 1)
+	srv, err := New(Config{Spec: "smoke", Seed: 1, Chunks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	l := requestLease(t, h, "w")
+	code, ack, body := postLinesSweep(t, h, "w", "", l.Lease.ID, lines[l.Lease.Lo:l.Lease.Hi])
+	if code != http.StatusOK || !ack.Cancelled || ack.Accepted != 0 {
+		t.Fatalf("results without a sweep: HTTP %d ack %+v (%s)", code, ack, body)
+	}
+	var hb HeartbeatResponse
+	postJSON(t, h, "/heartbeat", HeartbeatRequest{Worker: "w", Lease: l.Lease.ID}, &hb)
+	if !hb.Cancelled || hb.Valid {
+		t.Fatalf("heartbeat without a sweep: %+v", hb)
+	}
+	if st := srv.Status(); st.Done != 0 {
+		t.Fatalf("unrouted lines were accepted: %+v", st)
+	}
+}
+
+// TestCheckpointWriteErrorRecovers is the wedge regression: one failed
+// append (here the log's file is closed under the writer) answers that
+// batch with 500, and the next batch rebuilds the log and succeeds, so
+// the sweep still completes with a log that re-reads as the full sweep.
+func TestCheckpointWriteErrorRecovers(t *testing.T) {
+	const spec, seed = "smoke", uint64(1)
+	points, lines := sweepLines(t, spec, seed)
+	ckpt := filepath.Join(t.TempDir(), "boot.jsonl")
+	srv, err := New(Config{Spec: spec, Seed: seed, CheckpointPath: ckpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	id := SweepID(srv.Header())
+	srv.mu.Lock()
+	srv.sweeps[id].ckptFile.Close()
+	srv.mu.Unlock()
+
+	half := len(points) / 2
+	if code, _, _ := postLinesSweep(t, h, "w", id, 0, lines[:half]); code != http.StatusInternalServerError {
+		t.Fatalf("append to a closed log: HTTP %d, want 500", code)
+	}
+	code, ack, body := postLinesSweep(t, h, "w", id, 0, lines[half:])
+	if code != http.StatusOK || ack.Accepted != len(points)-half || !ack.Done {
+		t.Fatalf("submit after a failed append: HTTP %d ack %+v (%s)", code, ack, body)
+	}
+	select {
+	case <-srv.Done():
+	default:
+		t.Fatal("sweep never completed after a checkpoint write error")
+	}
+	lg, err := dse.ReadLog(ckpt, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lg.Results) != len(points) {
+		t.Fatalf("log re-reads %d of %d points", len(lg.Results), len(points))
+	}
+	final, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(final, referenceBytes(t, spec, seed)) {
+		t.Fatal("rebuilt log differs from the fault-free run")
+	}
+	if st := srv.Status(); st.Sweeps[0].CheckpointBytes != int64(len(final)) {
+		t.Fatalf("checkpoint_bytes %d, file holds %d", st.Sweeps[0].CheckpointBytes, len(final))
 	}
 }

@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -30,19 +29,19 @@ type sweep struct {
 	finished   time.Time
 
 	// ckptPath is the sweep's on-disk JSONL log ("" disables
-	// persistence). While active it is an append-only log of accepted
-	// lines in acceptance order; when managed, completion atomically
-	// rewrites it into the canonical point-ordered final bytes and
-	// cancellation removes it.
-	ckptPath  string
-	ckptFile  *os.File
-	ckpt      *bufio.Writer
+	// persistence). It is resumed when present; while active it is an
+	// append-only log of accepted lines in acceptance order; completion
+	// atomically rewrites it into the canonical point-ordered final
+	// bytes and cancellation removes it.
+	ckptPath string
+	ckptFile *os.File
+	// ckptBytes counts the log's bytes actually on disk.
 	ckptBytes int64
-	// managed marks sweeps whose file lifecycle the service owns
-	// (registry sweeps living in the checkpoint directory), as opposed
-	// to a legacy boot sweep whose caller-named checkpoint is left
-	// exactly as the single-sweep coordinator always left it.
-	managed bool
+	// ckptLost marks a log whose last append failed: the file handle was
+	// dropped, and the next batch rebuilds the log from the accumulator
+	// (which holds every accepted line) rather than appending after a
+	// hole.
+	ckptLost bool
 
 	// debt is the fair-scheduling deficit in EstCost units (sched.go).
 	debt float64
@@ -79,123 +78,88 @@ func newSweep(header dse.Header, points []dse.Point, now time.Time) *sweep {
 	return sw
 }
 
-// resumeLog re-accepts the sweep's checkpoint log from disk. Torn
-// tails are salvaged by the reader; a header that disagrees with the
-// sweep's identity is an error.
-func (sw *sweep) resumeLog() error {
-	results, raw, err := dse.ReadResultLog(sw.ckptPath, sw.header)
-	if err != nil {
-		return fmt.Errorf("coord: resume %s: %w", sw.ckptPath, err)
+// resume re-accepts a checkpoint log read from disk. The reader has
+// already salvaged any torn tail; a header that disagrees with the
+// sweep's identity is refused.
+func (sw *sweep) resume(lg *dse.Log) error {
+	if err := lg.Header.Check(sw.header); err != nil {
+		return fmt.Errorf("coord: checkpoint %s is from a different sweep (%v); refusing to resume", lg.Path, err)
 	}
-	for i := range results {
-		if _, err := sw.acc.AddResult(results[i], raw[i]); err != nil {
-			return fmt.Errorf("coord: resume %s: %w", sw.ckptPath, err)
+	for i, r := range lg.Results {
+		if _, err := sw.acc.AddResult(r, lg.Raw[i]); err != nil {
+			return fmt.Errorf("coord: resume %s: %w", lg.Path, err)
 		}
 	}
 	return nil
 }
 
-// openCheckpoint (re)writes the sweep's log cleanly — header plus the
-// currently accepted lines — and opens it for appending. The rewrite
-// is atomic (temp file + fsync + rename), so a crash mid-rewrite
-// leaves the previous log intact instead of a torn mid-file line the
-// salvage path (built for torn tails) would refuse; and a salvaged
-// torn tail never remains in a file about to be appended to.
-func (sw *sweep) openCheckpoint() error {
+// rewriteLog atomically replaces the sweep's log (temp file + fsync +
+// rename) with the header plus every accepted line in point-ID order.
+// A crash mid-rewrite leaves the previous log intact rather than a torn
+// mid-file line the salvage path (built for torn tails) would refuse.
+// For a complete sweep these are the canonical final bytes —
+// byte-identical to a fault-free standalone run and to what GET
+// /sweeps/{id}/result serves — so re-finalizing after a restart
+// rewrites identical content.
+func (sw *sweep) rewriteLog() error {
 	if sw.ckptPath == "" {
 		return nil
 	}
-	err := dse.AtomicWriteFile(sw.ckptPath, func(w io.Writer) error {
-		if err := dse.WriteHeader(w, sw.header); err != nil {
-			return err
-		}
-		for _, r := range sw.acc.Completed() {
-			if _, err := w.Write(sw.acc.Raw(r.Point.ID)); err != nil {
-				return err
-			}
-			if _, err := w.Write([]byte{'\n'}); err != nil {
-				return err
-			}
-		}
-		return nil
+	var n int64
+	err := dse.AtomicWriteFile(sw.ckptPath, func(w io.Writer) (err error) {
+		n, err = sw.acc.WriteTo(w, sw.header)
+		return err
 	})
-	if err != nil {
+	if err == nil {
+		sw.ckptBytes = n
+	}
+	return err
+}
+
+// openLog rewrites the log cleanly and opens it for appending: on
+// adoption, so a salvaged torn tail never stays in a file about to be
+// appended to, and after a failed append.
+func (sw *sweep) openLog() error {
+	if err := sw.rewriteLog(); err != nil || sw.ckptPath == "" {
 		return err
 	}
 	f, err := os.OpenFile(sw.ckptPath, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return err
-	}
-	sw.ckptFile = f
-	sw.ckpt = bufio.NewWriter(f)
-	sw.ckptBytes = st.Size()
+	sw.ckptFile, sw.ckptLost = f, false
 	return nil
 }
 
-// appendCheckpoint writes the accepted line for point id to the log.
-func (sw *sweep) appendCheckpoint(id int) error {
-	if sw.ckpt == nil {
+// appendLog appends one batch of newly accepted, newline-terminated
+// lines. A failed append drops the file handle, and the next batch
+// rebuilds the whole log instead — one write error never wedges the
+// sweep.
+func (sw *sweep) appendLog(batch []byte) error {
+	if sw.ckptLost {
+		return sw.openLog()
+	}
+	if sw.ckptFile == nil || len(batch) == 0 {
 		return nil
 	}
-	line := sw.acc.Raw(id)
-	if line == nil {
-		return fmt.Errorf("coord: no accepted line for point %d", id)
+	n, err := sw.ckptFile.Write(batch)
+	sw.ckptBytes += int64(n)
+	if err != nil {
+		sw.ckptFile.Close()
+		sw.ckptFile, sw.ckptLost = nil, true
 	}
-	if _, err := sw.ckpt.Write(line); err != nil {
-		return err
-	}
-	_, err := sw.ckpt.Write([]byte{'\n'})
-	sw.ckptBytes += int64(len(line)) + 1
 	return err
 }
 
-// flushCheckpoint pushes buffered log lines to the OS.
-func (sw *sweep) flushCheckpoint() error {
-	if sw.ckpt == nil {
+// closeLog closes the log file handle; later batches are not logged.
+func (sw *sweep) closeLog() error {
+	sw.ckptLost = false
+	if sw.ckptFile == nil {
 		return nil
 	}
-	return sw.ckpt.Flush()
-}
-
-// closeCheckpoint flushes and closes the log file handle.
-func (sw *sweep) closeCheckpoint() error {
-	if sw.ckpt == nil {
-		return nil
-	}
-	ferr := sw.ckpt.Flush()
-	cerr := sw.ckptFile.Close()
-	sw.ckpt, sw.ckptFile = nil, nil
-	if ferr != nil {
-		return ferr
-	}
-	return cerr
-}
-
-// finalizeFile atomically replaces a managed sweep's append-order log
-// with the canonical final bytes: header plus every accepted line in
-// point-ID order — byte-identical to a fault-free standalone run, and
-// exactly what GET /sweeps/{id}/result serves. Because the bytes are
-// deterministic, re-finalizing after a crash-and-restart is a no-op
-// rewrite of identical content.
-func (sw *sweep) finalizeFile() error {
-	if !sw.managed || sw.ckptPath == "" {
-		return nil
-	}
-	if err := dse.AtomicWriteFile(sw.ckptPath, func(w io.Writer) error {
-		_, err := sw.acc.WriteTo(w, sw.header)
-		return err
-	}); err != nil {
-		return err
-	}
-	if st, err := os.Stat(sw.ckptPath); err == nil {
-		sw.ckptBytes = st.Size()
-	}
-	return nil
+	err := sw.ckptFile.Close()
+	sw.ckptFile = nil
+	return err
 }
 
 // removeFile deletes the sweep's on-disk log (cancellation reclaims

@@ -44,8 +44,8 @@ func TestWorkerEndToEnd(t *testing.T) {
 	if err := w.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if w.Submitted != len(srv.Points()) {
-		t.Fatalf("worker submitted %d, want %d", w.Submitted, len(srv.Points()))
+	if w.Submitted != srv.Header().Points {
+		t.Fatalf("worker submitted %d, want %d", w.Submitted, srv.Header().Points)
 	}
 	var got bytes.Buffer
 	if err := srv.WriteFinal(&got); err != nil {

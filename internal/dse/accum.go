@@ -85,15 +85,6 @@ func (a *Accumulator) Has(id int) bool {
 	return id >= 0 && id < len(a.raw) && a.raw[id] != nil
 }
 
-// Raw returns the accepted line bytes for the point ID (without the
-// trailing newline), or nil when the point has no result yet.
-func (a *Accumulator) Raw(id int) []byte {
-	if id < 0 || id >= len(a.raw) {
-		return nil
-	}
-	return a.raw[id]
-}
-
 // Done returns the number of distinct points accepted so far.
 func (a *Accumulator) Done() int { return a.done }
 

@@ -58,7 +58,9 @@ func TestAtomicWriteFile(t *testing.T) {
 }
 
 // TestPeekHeader checks header-only inspection of a checkpoint log,
-// the primitive the coordinator's directory rescan is built on.
+// the primitive the coordinator's directory rescan is built on: a
+// header-only log reads back its header and no results in both modes,
+// and a strict read of a missing file fails.
 func TestPeekHeader(t *testing.T) {
 	sw, err := ParseSweep("smoke", 7)
 	if err != nil {
@@ -75,14 +77,19 @@ func TestPeekHeader(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := PeekHeader(path)
-	if err != nil {
-		t.Fatal(err)
+	for _, strict := range []bool{true, false} {
+		lg, err := ReadLog(path, strict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := lg.Header; got.SpecHash != h.SpecHash || got.Seed != h.Seed || got.Spec != h.Spec {
+			t.Fatalf("strict=%v: peeked %+v, want %+v", strict, got, h)
+		}
+		if len(lg.Results) != 0 || lg.Header.Check(h) != nil {
+			t.Fatalf("strict=%v: header-only log read as %+v", strict, lg)
+		}
 	}
-	if got.SpecHash != h.SpecHash || got.Seed != h.Seed || got.Spec != h.Spec {
-		t.Fatalf("peeked %+v, want %+v", got, h)
-	}
-	if _, err := PeekHeader(filepath.Join(t.TempDir(), "missing.jsonl")); err == nil {
-		t.Fatal("PeekHeader on a missing file succeeded")
+	if _, err := ReadLog(filepath.Join(t.TempDir(), "missing.jsonl"), true); err == nil {
+		t.Fatal("strict read of a missing file succeeded")
 	}
 }

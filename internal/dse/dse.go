@@ -26,14 +26,17 @@
 // range, and writes a shard file whose result lines are a literal
 // substring of the unsharded output.
 //
-// Every sweep file starts with a Header line pinning the schema
-// version, spec, seed, expanded-point hash and (for shards) the
-// covered ID range. LoadCheckpoint validates it before resuming —
-// a mismatched header is a loud error, not a silent restart — and
-// MergeShards validates it before combining: shard headers must agree,
-// the spec must re-expand to the recorded hash, duplicate point IDs
-// must carry identical bytes, and the union must cover the full
-// sweep. A merged file is byte-identical to an unsharded run.
+// Every sweep file — standalone output, checkpoint, shard, coordinator
+// log — is one format: a Header line pinning the schema version, spec,
+// seed, expanded-point hash and (for shards) the covered ID range,
+// then one result per line. ReadLog is its one reader, strict for
+// files offered as complete and salvaging a torn tail for
+// checkpoints. Header.Check validates a file before resuming it — a
+// mismatched header is a loud error, not a silent restart — and
+// MergeShards feeds shard files into one Accumulator: shard headers
+// must agree, the spec must re-expand to the recorded hash, duplicate
+// point IDs must carry identical bytes, and the union must cover the
+// full sweep. A merged file is byte-identical to an unsharded run.
 //
 // Front quality is quantified per workload: GroupedFront extracts
 // per-workload Pareto fronts over latency, energy proxy and area

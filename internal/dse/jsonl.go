@@ -83,22 +83,35 @@ func NewHeader(spec string, seed uint64, points []Point, shard *Shard) Header {
 	}
 }
 
-// sameSweep reports whether two headers describe the same sweep
-// (ignoring the shard range), with a descriptive error when not.
-func (h Header) sameSweep(other Header) error {
+// Check reports whether h describes the sweep want does — schema,
+// spec, seed, expanded-point hash, point count and shard range — with
+// an error naming the first field that differs. Resume and merge both
+// refuse a file that fails it rather than silently discarding or
+// mixing foreign results.
+func (h Header) Check(want Header) error {
 	switch {
-	case h.Schema != other.Schema:
-		return fmt.Errorf("schema %d vs %d", h.Schema, other.Schema)
-	case h.Spec != other.Spec:
-		return fmt.Errorf("spec %q vs %q", h.Spec, other.Spec)
-	case h.Seed != other.Seed:
-		return fmt.Errorf("seed %d vs %d", h.Seed, other.Seed)
-	case h.SpecHash != other.SpecHash:
-		return fmt.Errorf("spec hash %s vs %s", h.SpecHash, other.SpecHash)
-	case h.Points != other.Points:
-		return fmt.Errorf("point count %d vs %d", h.Points, other.Points)
+	case h.Schema != want.Schema:
+		return fmt.Errorf("schema %d vs %d", h.Schema, want.Schema)
+	case h.Spec != want.Spec:
+		return fmt.Errorf("spec %q vs %q", h.Spec, want.Spec)
+	case h.Seed != want.Seed:
+		return fmt.Errorf("seed %d vs %d", h.Seed, want.Seed)
+	case h.SpecHash != want.SpecHash:
+		return fmt.Errorf("spec hash %s vs %s", h.SpecHash, want.SpecHash)
+	case h.Points != want.Points:
+		return fmt.Errorf("point count %d vs %d", h.Points, want.Points)
+	case !reflect.DeepEqual(h.Shard, want.Shard):
+		return fmt.Errorf("covers %s, not %s", shardLabel(h.Shard), shardLabel(want.Shard))
 	}
 	return nil
+}
+
+// shardLabel names a header's coverage for error messages.
+func shardLabel(s *Shard) string {
+	if s == nil {
+		return "the full sweep"
+	}
+	return s.String()
 }
 
 // WriteHeader writes the header as the file's first JSONL line.
@@ -232,238 +245,136 @@ func scanResults(br *bufio.Reader, strict bool, path string) (results []Result, 
 	}
 }
 
-// readHeader reads and validates a file's first line as a Header.
-func readHeader(br *bufio.Reader, path, kind string) (Header, error) {
-	line, tooLong, noNewline, err := readCappedLine(br)
-	if err != nil {
-		return Header{}, err
-	}
-	if noNewline && len(line) == 0 && !tooLong {
-		return Header{}, errEmptyFile
-	}
-	h, ok := parseHeader(line)
-	if tooLong || !ok {
-		return Header{}, fmt.Errorf("dse: %s %s has no header line (pre-schema file or torn header)", kind, path)
-	}
-	return h, nil
-}
-
-// errEmptyFile marks a zero-byte results file; callers decide whether
-// that is an empty checkpoint (fine) or an unverifiable shard (error).
-var errEmptyFile = fmt.Errorf("dse: empty file")
-
-// LoadCheckpoint reads a JSONL results file and returns the prefix
-// that is valid for the sweep described by want (for a shard run,
-// points is the shard's slice and want carries the shard range). A
-// missing or empty file is an empty checkpoint, not an error. A file
-// whose header is absent, unreadable or from a different sweep —
-// spec, seed, schema version or shard range — is an error: resuming
-// it would silently throw the file away (or worse, mix sweeps), and
-// the caller should either fix the flags or delete the file.
-// A torn final line (crash mid-write) is salvaged — everything from
-// there on is re-evaluated anyway — but a malformed or oversized line
-// with valid data after it is corruption no crash produces, and fails
-// loudly instead of silently truncating the checkpoint there.
-func LoadCheckpoint(path string, want Header, points []Point) ([]Result, error) {
-	results, _, err := readResultFile(path, want, "checkpoint")
-	if err != nil || results == nil {
-		return nil, err
-	}
-	return MatchPrefix(points, results), nil
-}
-
-// ReadResultLog reads an append-order JSONL results file — a
-// coordinator checkpoint, where accepted results land in arrival
-// order rather than point order — validating its header against want
-// exactly like LoadCheckpoint and salvaging a torn tail the same way.
-// It returns the decoded results alongside their original line bytes
-// (the coordinator re-emits those bytes, keeping merged output
-// byte-identical). A missing or empty file is an empty log.
-func ReadResultLog(path string, want Header) ([]Result, [][]byte, error) {
-	return readResultFile(path, want, "checkpoint")
-}
-
-// readResultFile is the shared loader behind LoadCheckpoint and
-// ReadResultLog: header-validated, torn-tail-salvaging, loud on
-// mid-file corruption.
-func readResultFile(path string, want Header, kind string) ([]Result, [][]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil, nil
-		}
-		return nil, nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	h, err := readHeader(br, path, kind)
-	if err == errEmptyFile {
-		return nil, nil, nil // empty file: empty checkpoint
-	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w; delete it or drop -resume", err)
-	}
-	if err := want.sameSweep(h); err != nil {
-		return nil, nil, fmt.Errorf("dse: %s %s is from a different sweep (%v); refusing to resume", kind, path, err)
-	}
-	if !reflect.DeepEqual(h.Shard, want.Shard) {
-		return nil, nil, fmt.Errorf("dse: %s %s covers %v, not %v; refusing to resume", kind, path, shardLabel(h.Shard), shardLabel(want.Shard))
-	}
-	return scanResults(br, false, path)
-}
-
-// shardLabel names a header's coverage for error messages.
-func shardLabel(s *Shard) string {
-	if s == nil {
-		return "the full sweep"
-	}
-	return s.String()
-}
-
-// ShardFile is one parsed shard result file: its header, decoded
-// results, and the raw result lines (merging re-emits the original
-// bytes, so a merged file is byte-identical to an unsharded run even
-// if a future encoder would format a float differently).
-type ShardFile struct {
-	// Path is where the file was read from.
+// Log is one parsed JSONL results file. Every sweep file shares this
+// one format — standalone output and -resume checkpoints, shard files,
+// coordinator logs and worker lease checkpoints: a Header line, then
+// one Result per line in whatever order the writer produced them.
+type Log struct {
+	// Path is where the log was read from.
 	Path string
-	// Header is the file's validated provenance line.
+	// Header is the file's provenance line.
 	Header Header
 	// Results holds the decoded result lines in file order.
 	Results []Result
-	raw     [][]byte
+	// Raw holds each result's original line bytes (without the
+	// newline). Merged and resubmitted output re-emits these bytes, so
+	// it stays byte-identical to the producing run even if a future
+	// encoder would format a float differently.
+	Raw [][]byte
 }
 
-// ReadShardFile reads one shard JSONL file strictly: the header line
-// is mandatory and every subsequent line must decode as a Result.
-// Unlike checkpoint loading, a torn line is an error — a shard
-// offered for merging claims to be complete, and salvaging a prefix
-// here would silently drop points. A header-only file is a valid
-// empty shard (a worker whose whole lease was reclaimed and finished
-// elsewhere checkpoints one).
-func ReadShardFile(path string) (*ShardFile, error) {
+// ReadLog reads a results log. The header line is mandatory in both
+// modes — a headerless file (pre-schema, or a torn header) is an error
+// — and so is a malformed or oversized line with data after it, which
+// no crashed append-only writer produces. strict picks how the rest is
+// judged:
+//
+//   - strict, for files offered as complete (shards to merge, -hv-ref
+//     baselines, worker lease checkpoints): the file must exist and be
+//     non-empty, and a torn final line is an error — salvaging a
+//     prefix would silently drop points. A header-only file is a valid
+//     empty log.
+//   - salvage, for crash-resumable checkpoints and coordinator logs: a
+//     missing or zero-byte file is no log at all (nil, nil), and a torn
+//     final line — what a crash mid-append leaves — is dropped, since
+//     the points it held are evaluated again anyway.
+func ReadLog(path string, strict bool) (*Log, error) {
 	f, err := os.Open(path)
 	if err != nil {
+		if !strict && os.IsNotExist(err) {
+			return nil, nil
+		}
 		return nil, err
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<16)
-	h, err := readHeader(br, path, "shard")
-	if err == errEmptyFile {
-		return nil, fmt.Errorf("dse: shard %s is empty (no header line)", path)
-	}
+	line, tooLong, noNewline, err := readCappedLine(br)
 	if err != nil {
 		return nil, err
 	}
-	sf := &ShardFile{Path: path, Header: h}
-	sf.Results, sf.raw, err = scanResults(br, true, "shard "+path)
-	if err != nil {
+	if noNewline && len(line) == 0 && !tooLong {
+		if strict {
+			return nil, fmt.Errorf("dse: %s is empty (no header line)", path)
+		}
+		return nil, nil
+	}
+	h, ok := parseHeader(line)
+	if tooLong || !ok {
+		return nil, fmt.Errorf("dse: %s has no header line (pre-schema file or torn header)", path)
+	}
+	lg := &Log{Path: path, Header: h}
+	if lg.Results, lg.Raw, err = scanResults(br, strict, path); err != nil {
 		return nil, err
 	}
-	return sf, nil
+	return lg, nil
 }
 
-// Merged is the outcome of merging shard files back into one sweep:
-// an unsharded-form header plus the union of results in point-ID
-// order. Duplicates records how many identical duplicate lines were
-// dropped (shards with overlapping ranges are legal as long as they
-// agree).
-type Merged struct {
-	// Header is the merged file's header: the shards' common sweep
-	// description with the shard range cleared.
-	Header Header
-	// Results holds every point's result, sorted by point ID.
-	Results []Result
-	// Duplicates counts identical result lines dropped during
-	// de-duplication on point ID.
-	Duplicates int
-	raw        [][]byte
-}
-
-// MergeShards validates and merges shard result files into one sweep.
-// Every file's header must describe the same sweep (schema, spec,
-// seed, spec hash, point count); the spec is re-expanded and
-// re-hashed locally, so a merge run with a drifted engine fails
-// rather than producing a file nothing else can reproduce. Results
-// are de-duplicated on point ID — byte-identical duplicates are
-// dropped, conflicting ones are an error — checked against the local
-// expansion point-for-point, and must cover the full sweep: a missing
-// shard is reported by its missing ID range, not papered over.
-func MergeShards(paths []string) (*Merged, error) {
+// MergeShards validates and merges shard result files into one sweep,
+// returning the merged file's header (the shards' common sweep with
+// the shard range cleared) and the Accumulator holding every point's
+// result; its WriteTo renders output byte-identical to an unsharded
+// run. Every file's header must describe the same sweep (schema, spec,
+// seed, spec hash, point count); the spec is re-expanded and re-hashed
+// locally, so a merge run with a drifted engine fails rather than
+// producing a file nothing else can reproduce. Results are
+// de-duplicated on point ID — byte-identical duplicates are dropped,
+// conflicting ones are an error — checked against the local expansion
+// point-for-point, and must cover the full sweep: a missing shard is
+// reported by its missing ID range, not papered over.
+func MergeShards(paths []string) (Header, *Accumulator, error) {
 	if len(paths) == 0 {
-		return nil, fmt.Errorf("dse: no shard files to merge")
+		return Header{}, nil, fmt.Errorf("dse: no shard files to merge")
 	}
 	sorted := append([]string(nil), paths...)
 	sort.Strings(sorted)
-	var files []*ShardFile
+	var logs []*Log
 	for _, p := range sorted {
-		sf, err := ReadShardFile(p)
+		lg, err := ReadLog(p, true)
 		if err != nil {
-			return nil, err
+			return Header{}, nil, err
 		}
-		files = append(files, sf)
+		logs = append(logs, lg)
 	}
-	h := files[0].Header
-	for _, sf := range files[1:] {
-		if err := h.sameSweep(sf.Header); err != nil {
-			return nil, fmt.Errorf("dse: shard %s is from a different sweep than %s (%v)", sf.Path, files[0].Path, err)
+	h := logs[0].Header
+	h.Shard = nil
+	for _, lg := range logs[1:] {
+		other := lg.Header
+		other.Shard = nil
+		if err := other.Check(h); err != nil {
+			return Header{}, nil, fmt.Errorf("dse: shard %s is from a different sweep than %s (%v)", lg.Path, logs[0].Path, err)
 		}
 	}
 	if h.Schema != SchemaVersion {
-		return nil, fmt.Errorf("dse: shards use schema %d, this engine writes %d", h.Schema, SchemaVersion)
+		return Header{}, nil, fmt.Errorf("dse: shards use schema %d, this engine writes %d", h.Schema, SchemaVersion)
 	}
 	sw, err := ParseSweep(h.Spec, h.Seed)
 	if err != nil {
-		return nil, fmt.Errorf("dse: shard header spec does not parse: %w", err)
+		return Header{}, nil, fmt.Errorf("dse: shard header spec does not parse: %w", err)
 	}
 	points, err := sw.Points()
 	if err != nil {
-		return nil, err
+		return Header{}, nil, err
 	}
 	if len(points) != h.Points || HashPoints(points) != h.SpecHash {
-		return nil, fmt.Errorf("dse: spec %q re-expands to %d points hash %s, but shards were run with %d points hash %s (engine drift?)",
+		return Header{}, nil, fmt.Errorf("dse: spec %q re-expands to %d points hash %s, but shards were run with %d points hash %s (engine drift?)",
 			h.Spec, len(points), HashPoints(points), h.Points, h.SpecHash)
 	}
-	m := &Merged{Header: h}
-	m.Header.Shard = nil
 	acc := NewAccumulator(points)
-	for _, sf := range files {
-		for i, r := range sf.Results {
-			if s := sf.Header.Shard; s != nil && (r.Point.ID < s.Lo || r.Point.ID >= s.Hi) {
-				return nil, fmt.Errorf("dse: shard %s carries point ID %d outside its declared range %v", sf.Path, r.Point.ID, *s)
+	for _, lg := range logs {
+		for i, r := range lg.Results {
+			if s := lg.Header.Shard; s != nil && (r.Point.ID < s.Lo || r.Point.ID >= s.Hi) {
+				return Header{}, nil, fmt.Errorf("dse: shard %s carries point ID %d outside its declared range %v", lg.Path, r.Point.ID, *s)
 			}
-			if _, err := acc.AddResult(r, sf.raw[i]); err != nil {
-				return nil, fmt.Errorf("shard %s: %w (conflicting shards?)", sf.Path, err)
+			if _, err := acc.AddResult(r, lg.Raw[i]); err != nil {
+				return Header{}, nil, fmt.Errorf("shard %s: %w (conflicting shards?)", lg.Path, err)
 			}
 		}
 	}
 	if missing, firstMissing := acc.Missing(); missing > 0 {
-		return nil, fmt.Errorf("dse: merge is missing %d of %d points (first missing ID %d) — is a shard file absent from the glob?",
+		return Header{}, nil, fmt.Errorf("dse: merge is missing %d of %d points (first missing ID %d) — is a shard file absent from the glob?",
 			missing, len(points), firstMissing)
 	}
-	m.Duplicates = acc.Duplicates()
-	m.Results = acc.Results()
-	m.raw = acc.raw
-	return m, nil
-}
-
-// WriteTo streams the merged sweep — header plus every result line in
-// point-ID order, using the shards' original bytes — to w. The output
-// is byte-identical to an unsharded run of the same spec and seed.
-func (m *Merged) WriteTo(w io.Writer) (int64, error) {
-	cw := &countWriter{w: w}
-	if err := WriteHeader(cw, m.Header); err != nil {
-		return cw.n, err
-	}
-	for _, line := range m.raw {
-		if _, err := cw.Write(line); err != nil {
-			return cw.n, err
-		}
-		if _, err := cw.Write([]byte{'\n'}); err != nil {
-			return cw.n, err
-		}
-	}
-	return cw.n, nil
+	return h, acc, nil
 }
 
 // countWriter counts bytes written through it (io.WriterTo contract).

@@ -44,29 +44,29 @@ func TestMergeEmptyAndHeaderOnlyShards(t *testing.T) {
 	if n := bytes.Count(data, []byte("\n")); n != 1 {
 		t.Fatalf("empty shard %s has %d lines, want header only", paths[1], n)
 	}
-	sf, err := ReadShardFile(paths[1])
+	lg, err := ReadLog(paths[1], true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sf.Results) != 0 {
-		t.Fatalf("header-only shard decoded %d results", len(sf.Results))
+	if len(lg.Results) != 0 {
+		t.Fatalf("header-only shard decoded %d results", len(lg.Results))
 	}
-	m, err := MergeShards(paths)
+	_, acc, err := MergeShards(paths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Results) != 1 || m.Duplicates != 0 {
-		t.Fatalf("merged %d results (%d dups), want 1 (0)", len(m.Results), m.Duplicates)
+	if acc.Done() != 1 || acc.Duplicates() != 0 {
+		t.Fatalf("merged %d results (%d dups), want 1 (0)", acc.Done(), acc.Duplicates())
 	}
 	// A zero-byte file must be rejected, both alone and in a merge.
 	empty := filepath.Join(dir, "empty.jsonl")
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadShardFile(empty); err == nil {
+	if _, err := ReadLog(empty, true); err == nil {
 		t.Fatal("zero-byte shard file accepted")
 	}
-	if _, err := MergeShards(append(paths, empty)); err == nil {
+	if _, _, err := MergeShards(append(paths, empty)); err == nil {
 		t.Fatal("merge accepted a zero-byte shard file")
 	}
 }
@@ -90,19 +90,19 @@ func TestMergeDuplicatePointIDs(t *testing.T) {
 	runShardFile(t, full, spec, seed, nil, 4)
 	// The unsharded file overlaps both shards completely: every one
 	// of its lines is a duplicate of a shard line.
-	m, err := MergeShards([]string{s0, s1, full})
+	h, acc, err := MergeShards([]string{s0, s1, full})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Duplicates != len(points) {
-		t.Fatalf("dropped %d duplicates, want %d", m.Duplicates, len(points))
+	if acc.Duplicates() != len(points) {
+		t.Fatalf("dropped %d duplicates, want %d", acc.Duplicates(), len(points))
 	}
 	want, err := os.ReadFile(full)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
+	if _, err := acc.WriteTo(&buf, h); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
@@ -122,7 +122,7 @@ func TestMergeDuplicatePointIDs(t *testing.T) {
 	if err := os.WriteFile(bad, tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeShards([]string{s0, s1, bad}); err == nil || !strings.Contains(err.Error(), "conflicting") {
+	if _, _, err := MergeShards([]string{s0, s1, bad}); err == nil || !strings.Contains(err.Error(), "conflicting") {
 		t.Fatalf("conflicting duplicate not rejected: %v", err)
 	}
 }
@@ -139,7 +139,7 @@ func TestMergeMissingShard(t *testing.T) {
 	}
 	s0 := ShardPath(filepath.Join(dir, "m.jsonl"), 0)
 	runShardFile(t, s0, spec, seed, &shards[0], 1)
-	_, err = MergeShards([]string{s0})
+	_, _, err = MergeShards([]string{s0})
 	if err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Fatalf("partial merge not rejected: %v", err)
 	}
@@ -165,7 +165,7 @@ func TestMergeForeignShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	runShardFile(t, foreign, spec, 4, &otherShards[1], 1)
-	if _, err := MergeShards([]string{s0, foreign}); err == nil || !strings.Contains(err.Error(), "different sweep") {
+	if _, _, err := MergeShards([]string{s0, foreign}); err == nil || !strings.Contains(err.Error(), "different sweep") {
 		t.Fatalf("foreign-seed shard not rejected: %v", err)
 	}
 	// A corrupted spec hash must trip the local re-expansion check.
@@ -179,7 +179,7 @@ func TestMergeForeignShards(t *testing.T) {
 	if err := os.WriteFile(bad, drifted, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeShards([]string{bad}); err == nil {
+	if _, _, err := MergeShards([]string{bad}); err == nil {
 		t.Fatal("drifted spec hash not rejected")
 	}
 	// Headerless (pre-schema) files are rejected outright.
@@ -188,10 +188,10 @@ func TestMergeForeignShards(t *testing.T) {
 	if err := os.WriteFile(headerless, rest, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeShards([]string{headerless}); err == nil {
+	if _, _, err := MergeShards([]string{headerless}); err == nil {
 		t.Fatal("headerless shard not rejected")
 	}
-	if _, err := MergeShards(nil); err == nil {
+	if _, _, err := MergeShards(nil); err == nil {
 		t.Fatal("empty merge set accepted")
 	}
 }
@@ -262,7 +262,7 @@ func TestCheckpointTornTailSalvage(t *testing.T) {
 			if err := os.WriteFile(path, append(append([]byte(nil), prefix...), tail...), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			got, err := LoadCheckpoint(path, header, points)
+			got, err := resumePrefix(path, header, points)
 			if err != nil {
 				t.Fatalf("salvage failed: %v", err)
 			}
@@ -295,7 +295,7 @@ func TestCheckpointMidFileCorruptionIsLoud(t *testing.T) {
 			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err := LoadCheckpoint(path, header, points)
+			_, err := resumePrefix(path, header, points)
 			if err == nil || !strings.Contains(err.Error(), "mid-file") {
 				t.Fatalf("mid-file corruption not rejected: %v", err)
 			}
@@ -303,47 +303,128 @@ func TestCheckpointMidFileCorruptionIsLoud(t *testing.T) {
 	}
 }
 
-// TestReadResultLog: the coordinator-checkpoint loader accepts
-// results in any order, validates the header like LoadCheckpoint,
-// salvages torn tails, and hands back the original line bytes.
+// resumePrefix is the standalone -resume path: read the checkpoint in
+// salvage mode, refuse a foreign header, and keep the prefix that
+// matches the expansion point for point.
+func resumePrefix(path string, want Header, points []Point) ([]Result, error) {
+	lg, err := ReadLog(path, false)
+	if err != nil || lg == nil {
+		return nil, err
+	}
+	if err := lg.Header.Check(want); err != nil {
+		return nil, err
+	}
+	return MatchPrefix(points, lg.Results), nil
+}
+
+// TestReadResultLog: the results-log reader hands back results in file
+// (arrival) order with their original line bytes, salvages a torn tail
+// or refuses it by mode, runs the one header check against foreign and
+// shard headers, and treats a missing file by mode.
 func TestReadResultLog(t *testing.T) {
 	dir := t.TempDir()
 	path, header, _, lines := buildCheckpoint(t, dir, "plat=homog2,homog4;wl=carradio,jpeg", 5)
 	// Rewrite with the result lines reversed (arrival order != point
-	// order) plus a torn tail.
-	var buf bytes.Buffer
-	buf.Write(lines[0])
+	// order).
+	var clean bytes.Buffer
+	clean.Write(lines[0])
 	for i := len(lines) - 1; i >= 1; i-- {
-		buf.Write(lines[i])
+		clean.Write(lines[i])
 	}
-	buf.WriteString(`{"point":{"id":`)
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	results, raw, err := ReadResultLog(path, header)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(lines)-1 || len(raw) != len(results) {
-		t.Fatalf("loaded %d results (%d raw), want %d", len(results), len(raw), len(lines)-1)
-	}
-	if results[0].Point.ID != len(lines)-2 {
-		t.Fatalf("first loaded result is point %d, want %d (arrival order)", results[0].Point.ID, len(lines)-2)
-	}
-	for i, r := range raw {
-		if want := bytes.TrimSuffix(lines[len(lines)-1-i], []byte("\n")); !bytes.Equal(r, want) {
-			t.Fatalf("raw line %d diverged from file bytes", i)
+	write := func(name string, data []byte) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
+		return p
 	}
-	// Foreign header still refuses.
-	other := NewHeader("smoke", 1, expandSweep(t, "smoke", 1), nil)
-	if _, _, err := ReadResultLog(path, other); err == nil {
-		t.Fatal("foreign result log accepted")
+	torn := write("torn.jsonl", append(append([]byte(nil), clean.Bytes()...), `{"point":{"id":`...))
+	write(filepath.Base(path), clean.Bytes())
+
+	t.Run("strict", func(t *testing.T) {
+		lg, err := ReadLog(path, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(lg.Results) != len(lines)-1 || len(lg.Raw) != len(lg.Results) {
+			t.Fatalf("loaded %d results (%d raw), want %d", len(lg.Results), len(lg.Raw), len(lines)-1)
+		}
+		if lg.Results[0].Point.ID != len(lines)-2 {
+			t.Fatalf("first loaded result is point %d, want %d (arrival order)", lg.Results[0].Point.ID, len(lines)-2)
+		}
+		for i, r := range lg.Raw {
+			if want := bytes.TrimSuffix(lines[len(lines)-1-i], []byte("\n")); !bytes.Equal(r, want) {
+				t.Fatalf("raw line %d diverged from file bytes", i)
+			}
+		}
+		if lg.Header.Check(header) != nil || lg.Path != path {
+			t.Fatalf("header %+v from %s, want %+v from %s", lg.Header, lg.Path, header, path)
+		}
+		if _, err := ReadLog(torn, true); err == nil || !strings.Contains(err.Error(), "malformed") {
+			t.Fatalf("strict read accepted a torn tail: %v", err)
+		}
+	})
+	t.Run("salvage", func(t *testing.T) {
+		lg, err := ReadLog(torn, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(lg.Results) != len(lines)-1 {
+			t.Fatalf("salvaged %d results, want %d", len(lg.Results), len(lines)-1)
+		}
+		// A foreign sweep's header fails the one header check.
+		other := NewHeader("smoke", 1, expandSweep(t, "smoke", 1), nil)
+		if err := lg.Header.Check(other); err == nil {
+			t.Fatal("foreign result log passed the header check")
+		}
+		shard := header
+		shard.Shard = &Shard{Index: 0, Count: 2, Lo: 0, Hi: 2}
+		if err := lg.Header.Check(shard); err == nil || !strings.Contains(err.Error(), "covers") {
+			t.Fatalf("full-sweep log passed as a shard: %v", err)
+		}
+	})
+	t.Run("missing", func(t *testing.T) {
+		missing := filepath.Join(dir, "nope.jsonl")
+		if lg, err := ReadLog(missing, false); err != nil || lg != nil {
+			t.Fatalf("salvage read of a missing log: %v, %v", lg, err)
+		}
+		if _, err := ReadLog(missing, true); err == nil {
+			t.Fatal("strict read of a missing file succeeded")
+		}
+	})
+}
+
+// TestReadLog covers the files with no results to read: an empty file
+// is no log when salvaging and an error when strict, and a headerless
+// file is an error in both modes. TestPeekHeader covers header-only
+// logs.
+func TestReadLog(t *testing.T) {
+	dir := t.TempDir()
+	_, _, _, lines := buildCheckpoint(t, dir, "plat=homog2,homog4;wl=carradio,jpeg", 5)
+	write := func(name string, data []byte) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	// Missing file: empty log.
-	if res, _, err := ReadResultLog(filepath.Join(dir, "nope.jsonl"), header); err != nil || res != nil {
-		t.Fatalf("missing log: %v, %v", res, err)
-	}
+	t.Run("empty", func(t *testing.T) {
+		empty := write("empty.jsonl", nil)
+		if lg, err := ReadLog(empty, false); err != nil || lg != nil {
+			t.Fatalf("salvage read of an empty log: %v, %v", lg, err)
+		}
+		if _, err := ReadLog(empty, true); err == nil || !strings.Contains(err.Error(), "empty") {
+			t.Fatalf("strict read of an empty file: %v", err)
+		}
+	})
+	t.Run("headerless", func(t *testing.T) {
+		headerless := write("headerless.jsonl", bytes.Join(lines[1:], nil))
+		for _, strict := range []bool{true, false} {
+			if _, err := ReadLog(headerless, strict); err == nil || !strings.Contains(err.Error(), "no header") {
+				t.Fatalf("strict=%v: headerless file: %v", strict, err)
+			}
+		}
+	})
 }
 
 // TestAccumulator: incremental acceptance enforces the same contract

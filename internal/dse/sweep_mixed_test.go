@@ -52,9 +52,9 @@ func TestMixedAxesShardMergeByteIdentity(t *testing.T) {
 		runShardFile(t, path, mixedSpec, seed, &shards[k], k+1)
 		paths = append(paths, path)
 	}
-	m := mustMerge(t, paths)
+	h, acc := mustMerge(t, paths)
 	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
+	if _, err := acc.WriteTo(&buf, h); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
@@ -82,7 +82,7 @@ func TestMixedAxesResume(t *testing.T) {
 	if err := os.WriteFile(path, ckpt.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	prefix, err := LoadCheckpoint(path, header, points)
+	prefix, err := resumePrefix(path, header, points)
 	if err != nil {
 		t.Fatal(err)
 	}
