@@ -44,9 +44,15 @@ func (s Shard) String() string {
 // number of candidate schedules evaluated. The vp fidelity costs what
 // its task-level twin does: its refinement is closed-form, a fraction
 // of a microsecond (sweepbench --trace 1 on the default sweep: eval
-// p50 0.28 ms vp against 0.32 ms mvp on a 2-vCPU Xeon). Only the
-// ratio between point costs matters, and PlanShards is deterministic
-// for any fixed cost function.
+// p50 0.28 ms vp against 0.32 ms mvp on a 2-vCPU Xeon). The pipe and
+// rtos factors are fitted to mean dse_eval_latency_us against the
+// mvp points of the same sweep (dse -metrics-out, seed 3, one worker,
+// 2-vCPU Xeon): a pipeN point costs 0.25, 0.37 and 0.80 of its mvp
+// twin at N = 2, 8 and 32, mostly because its throughput-objective
+// mapping search is cheaper; an rtos jobsN point costs 0.86, 1.40,
+// 1.91 and 4.02 times a list-heuristic mvp point's base at N = 16,
+// 32, 64 and 128. Only the ratio between point costs matters, and
+// PlanShards is deterministic for any fixed cost function.
 func EstCost(p Point) float64 {
 	c := 1.0 + 0.25*float64(p.Plat.CoreCount())
 	switch p.Fidelity {
@@ -55,7 +61,7 @@ func EstCost(p Point) float64 {
 		if it <= 0 {
 			it = 8
 		}
-		c *= 1 + float64(it)/4
+		c *= 0.2 + float64(it)/50
 	case "cal":
 		// A cal point is task-level plus its share of the group's
 		// probe measurements (each one task-level evaluation with a
@@ -69,7 +75,7 @@ func EstCost(p Point) float64 {
 		if n <= 0 {
 			n = 32
 		}
-		c *= 1 + float64(n)/16
+		c *= 0.4 + float64(n)/36
 	}
 	switch p.Heuristic {
 	case "anneal":

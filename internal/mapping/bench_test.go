@@ -5,6 +5,7 @@ import (
 
 	"mpsockit/internal/mem"
 	"mpsockit/internal/obs"
+	"mpsockit/internal/taskgraph"
 	"mpsockit/internal/workload"
 )
 
@@ -156,6 +157,42 @@ func BenchmarkExecute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Execute(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExecutePipelined is the pipe8 fidelity's execution: JPEG on
+// the wireless terminal over 8 iterations.
+func BenchmarkExecutePipelined(b *testing.B) {
+	g := workload.JPEGTaskGraph()
+	plat := wirelessPlat()
+	a, err := Map(g, plat, Options{Heuristic: List})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ExecutePipelined(a, 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkExecuteMulti executes a jpeg+carradio union graph with
+// per-application makespans.
+func BenchmarkExecuteMulti(b *testing.B) {
+	g, spans := taskgraph.Union("jpeg+carradio", workload.JPEGTaskGraph(), workload.CarRadioTaskGraph())
+	plat := wirelessPlat()
+	a, err := Map(g, plat, Options{Heuristic: List})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ExecuteMulti(a, spans); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 
 	"mpsockit/internal/mem"
@@ -779,37 +778,6 @@ func (s ExecStats) Utilization() []float64 {
 	return out
 }
 
-// Simulation resources are named per index ("pe3", "e17"); the names
-// only surface in diagnostics, so they come from a precomputed table
-// instead of a fmt.Sprintf per resource per run.
-var (
-	peNames   [64]string
-	edgeNames [256]string
-)
-
-func init() {
-	for i := range peNames {
-		peNames[i] = "pe" + strconv.Itoa(i)
-	}
-	for i := range edgeNames {
-		edgeNames[i] = "e" + strconv.Itoa(i)
-	}
-}
-
-func peName(i int) string {
-	if i < len(peNames) {
-		return peNames[i]
-	}
-	return "pe" + strconv.Itoa(i)
-}
-
-func edgeName(i int) string {
-	if i < len(edgeNames) {
-		return edgeNames[i]
-	}
-	return "e" + strconv.Itoa(i)
-}
-
 // transferContended moves one cross-PE payload: the fabric delivers
 // it, then — when the platform has a memory contention model — the
 // payload queues for memory service before done fires. With no model
@@ -831,16 +799,86 @@ func transferContended(plat *platform.Platform, src, dst, bytes int, done func()
 	})
 }
 
+// Task-level execution runs every task as a small state machine whose
+// continuation is a kernel callback (Schedule), not a sim.Proc: no
+// goroutine is started and no park/resume handoff is paid. The two
+// primitives below stand in for sim.Resource and sim.Queue and keep
+// their wake-up discipline exactly. A release, Get or Put wakes every
+// parked task with one zero-delay event each, in parking order, and
+// the losers re-check and park again. The kernel therefore sees the
+// same event stream, event for event, as the process-based model it
+// replaces (TestExecuteMatchesProcOracle holds that equivalence).
+
+// wakeAll schedules every parked continuation on list at the current
+// instant, in parking order, and empties the list in place.
+func wakeAll(k *sim.Kernel, list *[]func()) {
+	for _, step := range *list {
+		k.Schedule(0, step)
+	}
+	*list = (*list)[:0]
+}
+
+// peLocks are the per-PE exclusive-use locks of a task-level run: a
+// held flag per PE and the continuations parked on it.
+type peLocks struct {
+	held   []bool
+	parked [][]func()
+}
+
+func newPELocks(n int) peLocks {
+	return peLocks{held: make([]bool, n), parked: make([][]func(), n)}
+}
+
+// acquire takes PE pe, or parks step on it and reports false while
+// another task holds it.
+func (l *peLocks) acquire(pe int, step func()) bool {
+	if l.held[pe] {
+		l.parked[pe] = append(l.parked[pe], step)
+		return false
+	}
+	l.held[pe] = true
+	return true
+}
+
+// release frees PE pe and wakes every task parked on it.
+func (l *peLocks) release(k *sim.Kernel, pe int) {
+	l.held[pe] = false
+	wakeAll(k, &l.parked[pe])
+}
+
 // Execute runs the assignment on the event-driven platform model with
 // genuine fabric contention (transfers share links) — the high-level
-// "virtual platform" simulation of section IV. It uses the platform's
-// kernel, which must be otherwise idle, and returns the measured
-// makespan plus per-PE busy time and the fabric traffic of the run.
-// It shares its implementation with ExecuteMulti (executeSpans), so
-// the two can never diverge.
+// "virtual platform" simulation of section IV. Every task is a kernel
+// callback state machine: it waits for its inputs, takes its PE,
+// computes, then releases the PE and sends its outputs. It uses the
+// platform's kernel, which must be otherwise idle, and returns the
+// measured makespan plus per-PE busy time and the fabric traffic of
+// the run. It shares its implementation with ExecuteMulti
+// (executeSpans), so the two can never diverge.
 func Execute(a *Assignment) (ExecStats, error) {
 	stats, _, err := executeSpans(a, nil)
 	return stats, err
+}
+
+// fifoDepth is the token capacity of every pipeline channel.
+const fifoDepth = 2
+
+// Phases of a pipelined task's state machine, in iteration order.
+const (
+	pipeGet     = iota // taking one token from each input channel
+	pipeAcquire        // waiting for the PE
+	pipeCompute        // computing; the next call is the finish
+	pipePut            // sending, then putting, one token per output
+	pipeSend           // a cross-PE send is in flight
+)
+
+// pipeTask is one pipelined task's state: its phase, its iteration,
+// and the input or output it is working on.
+type pipeTask struct {
+	phase, it, j int
+	// sent is set once output j's cross-PE transfer has completed.
+	sent bool
+	dur  sim.Time
 }
 
 // ExecutePipelined runs the mapped graph as a pipeline over
@@ -849,7 +887,10 @@ func Execute(a *Assignment) (ExecStats, error) {
 // the same iteration through depth-bounded FIFO channels. This is how
 // MAPS-mapped multimedia codecs actually earn their speedup — stage
 // parallelism across consecutive frames — and the measurement behind
-// the section IV "promising speedup results".
+// the section IV "promising speedup results". Each task is a kernel
+// callback state machine over its iterations; a channel is a fill
+// count with the getters and putters parked on it, and a cross-PE
+// send resumes its task from the transfer's completion callback.
 func ExecutePipelined(a *Assignment, iterations int) (ExecStats, error) {
 	if iterations <= 0 {
 		return ExecStats{}, fmt.Errorf("mapping: iterations must be positive")
@@ -860,53 +901,87 @@ func ExecutePipelined(a *Assignment, iterations int) (ExecStats, error) {
 	}
 	g := a.Graph
 	v := g.View()
-	queues := make([]*sim.Queue, len(g.Edges)) // edge index -> token queue
-	for i := range g.Edges {
-		queues[i] = k.NewQueue(edgeName(i), 2)
-	}
-	peRes := make([]*sim.Resource, len(a.Platform.Cores))
-	for i := range peRes {
-		peRes[i] = k.NewResource(peName(i), 1)
-	}
+	n := len(g.Tasks)
+	fill := make([]int, len(g.Edges)) // edge index -> buffered tokens
+	getters := make([][]func(), len(g.Edges))
+	putters := make([][]func(), len(g.Edges))
+	pes := newPELocks(len(a.Platform.Cores))
 	fabric0 := platform.FabricStatsOf(a.Platform.Fabric)
 	mem0 := platform.MemStatsOf(a.Platform.Mem)
 	busy := make([]sim.Time, len(a.Platform.Cores))
 	var makespan sim.Time
 	finished := 0
-	for id := range g.Tasks {
-		id := id
+	tasks := make([]pipeTask, n)
+	step := make([]func(), n)
+	for id := range step {
+		t := &tasks[id]
 		inEdges, outEdges := v.InEdges(id), v.OutEdges(id)
 		pe := a.TaskPE[id]
 		core := a.Platform.Core(pe)
 		cycles := g.Tasks[id].CyclesOn(core.Class)
-		k.Spawn(g.Tasks[id].Name, func(p *sim.Proc) {
-			for it := 0; it < iterations; it++ {
-				for _, ie := range inEdges {
-					queues[ie.Edge].Get(p)
-				}
-				peRes[pe].Acquire(p)
-				dur := core.Cycles(cycles)
-				p.Delay(dur)
-				peRes[pe].Release()
-				busy[pe] += dur
-				for _, oe := range outEdges {
-					if a.TaskPE[oe.Task] != pe {
-						done := k.NewSignal()
-						transferContended(a.Platform, pe, a.TaskPE[oe.Task], oe.Bytes, func() { done.Broadcast() })
-						done.Wait(p)
+		step[id] = func() {
+			for {
+				switch t.phase {
+				case pipeGet:
+					for ; t.j < len(inEdges); t.j++ {
+						e := inEdges[t.j].Edge
+						if fill[e] == 0 {
+							getters[e] = append(getters[e], step[id])
+							return
+						}
+						fill[e]--
+						wakeAll(k, &putters[e])
 					}
-					queues[oe.Edge].Put(p, it)
-				}
-				if p.Now() > makespan {
-					makespan = p.Now()
+					t.phase = pipeAcquire
+				case pipeAcquire:
+					if !pes.acquire(pe, step[id]) {
+						return
+					}
+					t.dur = core.Cycles(cycles)
+					t.phase = pipeCompute
+					k.Schedule(t.dur, step[id])
+					return
+				case pipeCompute:
+					pes.release(k, pe)
+					busy[pe] += t.dur
+					t.phase, t.j, t.sent = pipePut, 0, false
+				case pipeSend:
+					// The transfer completed: resume with one
+					// zero-delay wake-up.
+					t.phase, t.sent = pipePut, true
+					k.Schedule(0, step[id])
+					return
+				case pipePut:
+					for ; t.j < len(outEdges); t.j, t.sent = t.j+1, false {
+						oe := outEdges[t.j]
+						if to := a.TaskPE[oe.Task]; to != pe && !t.sent {
+							t.phase = pipeSend
+							transferContended(a.Platform, pe, to, oe.Bytes, step[id])
+							return
+						}
+						if fill[oe.Edge] >= fifoDepth {
+							putters[oe.Edge] = append(putters[oe.Edge], step[id])
+							return
+						}
+						fill[oe.Edge]++
+						wakeAll(k, &getters[oe.Edge])
+					}
+					if k.Now() > makespan {
+						makespan = k.Now()
+					}
+					if t.it++; t.it == iterations {
+						finished++
+						return
+					}
+					t.phase, t.j = pipeGet, 0
 				}
 			}
-			finished++
-		})
+		}
+		k.Schedule(0, step[id])
 	}
 	k.Run()
-	if finished != len(g.Tasks) {
-		return ExecStats{}, fmt.Errorf("mapping: pipeline stalled (%d/%d tasks finished)", finished, len(g.Tasks))
+	if finished != n {
+		return ExecStats{}, fmt.Errorf("mapping: pipeline stalled (%d/%d tasks finished)", finished, n)
 	}
 	return ExecStats{
 		Makespan: makespan,

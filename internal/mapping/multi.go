@@ -17,14 +17,15 @@ import (
 // top of the aggregate ExecStats.
 
 // ExecuteMulti runs the assignment exactly like Execute — the same
-// event-driven platform model, fabric contention and aggregate stats
-// (both share one implementation, executeSpans) — and additionally
-// measures each application's own makespan, where spans are the union
-// graph's per-application task-ID ranges (taskgraph.Union's second
-// result). An application's makespan is the completion time of its
-// last task while competing with every other application for cores
-// and fabric, which is the per-app number a real-time requirement is
-// checked against.
+// event-driven platform model of kernel-callback task state machines,
+// fabric contention and aggregate stats (both share one
+// implementation, executeSpans) — and additionally measures each
+// application's own makespan, where spans are the union graph's
+// per-application task-ID ranges (taskgraph.Union's second result).
+// An application's makespan is the completion time of its last task
+// while competing with every other application for cores and fabric,
+// which is the per-app number a real-time requirement is checked
+// against.
 func ExecuteMulti(a *Assignment, spans []taskgraph.Span) (ExecStats, []sim.Time, error) {
 	n := len(a.Graph.Tasks)
 	claimed := make([]int, n)
@@ -45,11 +46,25 @@ func ExecuteMulti(a *Assignment, spans []taskgraph.Span) (ExecStats, []sim.Time,
 	return executeSpans(a, spans)
 }
 
+// Phases of a one-shot task's state machine.
+const (
+	taskInputs  = iota // counting input arrivals
+	taskAcquire        // activated; waiting for the PE
+	taskCompute        // computing; the next call is the finish
+)
+
 // executeSpans is the shared execution core behind Execute and
 // ExecuteMulti: event-driven one-shot execution with genuine fabric
 // contention, plus per-span makespan tracking when spans are given.
 // Span tracking adds no kernel events, so both entry points produce
 // identical event streams and stats for the same assignment.
+//
+// Each task is one kernel callback, step[id], stepping through its
+// phases: every input arrival (a same-PE hand-over event or a
+// cross-PE transfer's completion) calls it once, the last arrival
+// schedules its activation, and the activation either takes the PE
+// and schedules the finish or parks until the PE is released. A
+// finishing task schedules nothing for itself.
 func executeSpans(a *Assignment, spans []taskgraph.Span) (ExecStats, []sim.Time, error) {
 	k := a.Platform.Kernel
 	if k == nil {
@@ -67,61 +82,66 @@ func executeSpans(a *Assignment, spans []taskgraph.Span) (ExecStats, []sim.Time,
 		}
 	}
 	v := g.View()
-	pending := make([]int, n) // unarrived inputs
-	for id := range pending {
-		pending[id] = len(v.InEdges(id))
-	}
-	peRes := make([]*sim.Resource, len(a.Platform.Cores))
-	for i := range peRes {
-		peRes[i] = k.NewResource(peName(i), 1)
-	}
+	pes := newPELocks(len(a.Platform.Cores))
 	fabric0 := platform.FabricStatsOf(a.Platform.Fabric)
 	mem0 := platform.MemStatsOf(a.Platform.Mem)
 	busy := make([]sim.Time, len(a.Platform.Cores))
 	appMakespan := make([]sim.Time, len(spans))
 	var makespan sim.Time
 	done := 0
-	var runTask func(id int)
-	deliver := func(id int) {
-		pending[id]--
-		if pending[id] == 0 {
-			runTask(id)
-		}
-	}
-	runTask = func(id int) {
-		k.Spawn(g.Tasks[id].Name, func(p *sim.Proc) {
-			pe := a.TaskPE[id]
-			core := a.Platform.Core(pe)
-			peRes[pe].Acquire(p)
-			dur := core.Cycles(g.Tasks[id].CyclesOn(core.Class))
-			p.Delay(dur)
-			peRes[pe].Release()
-			busy[pe] += dur
-			if p.Now() > makespan {
-				makespan = p.Now()
-			}
-			if ai := appOf[id]; ai >= 0 && p.Now() > appMakespan[ai] {
-				appMakespan[ai] = p.Now()
-			}
-			done++
-			for _, oe := range v.OutEdges(id) {
-				to := oe.Task
-				if a.TaskPE[to] == pe {
-					k.Schedule(0, func() { deliver(to) })
-				} else {
-					transferContended(a.Platform, pe, a.TaskPE[to], oe.Bytes, func() {
-						if k.Now() > makespan {
-							makespan = k.Now()
-						}
-						deliver(to)
-					})
+	phase := make([]int, n)
+	pending := make([]int, n) // unarrived inputs
+	dur := make([]sim.Time, n)
+	step := make([]func(), n)
+	for id := range step {
+		pe := a.TaskPE[id]
+		step[id] = func() {
+			switch phase[id] {
+			case taskInputs:
+				// An arrival; only a cross-PE one can end past the
+				// makespan.
+				if k.Now() > makespan {
+					makespan = k.Now()
+				}
+				if pending[id]--; pending[id] == 0 {
+					phase[id] = taskAcquire
+					k.Schedule(0, step[id])
+				}
+			case taskAcquire:
+				if !pes.acquire(pe, step[id]) {
+					return
+				}
+				core := a.Platform.Core(pe)
+				dur[id] = core.Cycles(g.Tasks[id].CyclesOn(core.Class))
+				phase[id] = taskCompute
+				k.Schedule(dur[id], step[id])
+			case taskCompute:
+				pes.release(k, pe)
+				busy[pe] += dur[id]
+				now := k.Now()
+				if now > makespan {
+					makespan = now
+				}
+				if ai := appOf[id]; ai >= 0 && now > appMakespan[ai] {
+					appMakespan[ai] = now
+				}
+				done++
+				for _, oe := range v.OutEdges(id) {
+					if to := a.TaskPE[oe.Task]; to == pe {
+						k.Schedule(0, step[oe.Task])
+					} else {
+						transferContended(a.Platform, pe, to, oe.Bytes, step[oe.Task])
+					}
 				}
 			}
-		})
+		}
+		if pending[id] = len(v.InEdges(id)); pending[id] == 0 {
+			phase[id] = taskAcquire
+		}
 	}
-	for id := 0; id < n; id++ {
+	for id := range step {
 		if pending[id] == 0 {
-			runTask(id)
+			k.Schedule(0, step[id])
 		}
 	}
 	k.Run()

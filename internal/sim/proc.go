@@ -15,8 +15,14 @@ import "fmt"
 // because strict alternation guarantees the buffer is empty) and then
 // blocks receiving the other side's token. That is two channel
 // operations per transfer of control instead of the four a pair of
-// unbuffered rendezvous would cost, and it is the reason park/resume
-// dominates neither CPU profiles nor allocation profiles.
+// unbuffered rendezvous would cost. A handoff still costs far more
+// than a callback event: on the task-level sweep (2-vCPU Xeon,
+// go1.24) task-level execution cost 964 ns per kernel event while it
+// ran its tasks as processes, and 176 ns once they ran as Schedule
+// callbacks. Proc is for blocking-style models that need a
+// call stack across suspensions (the RTOS dispatchers, the virtual
+// platform's cores, TTDD, CIC, OSIP, DMA); task-level execution
+// (mapping.Execute and friends) uses callbacks.
 type Proc struct {
 	Name   string
 	k      *Kernel
