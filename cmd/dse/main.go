@@ -22,13 +22,6 @@
 //
 //	dse -sweep 'plat=2xrisc+4xdsp+1xvliw,8xrisc@600;wl=multi:jpeg+carradio+synth8,jpeg'
 //
-// The fid dimension's cal:K token scores points at task-level speed
-// with WCET scale factors calibrated against K instruction-level vp
-// probe measurements per (platform, workload) group; the fitted
-// factor and fit residual are emitted per point (cal_scale, cal_rms):
-//
-//	dse -sweep 'plat=homog8;wl=jpeg,synth16;heur=list,anneal;fid=cal:1'
-//
 // The mem dimension sweeps memory-subsystem contention models:
 // mem=ideal (the default, infinite-bandwidth memory), mem=bank:BxC
 // (B banks behind C DMA channels with deterministic queueing) and

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"math/rand"
 	"net/http"
@@ -325,6 +326,59 @@ func TestDirResumeCoversAllActiveSweeps(t *testing.T) {
 	}
 	if !bytes.Equal(fetchResult(t, h3, idA), referenceBytes(t, "smoke", 1)) {
 		t.Fatal("finalized file served differently after restart")
+	}
+}
+
+// calSweepLog is a sweep log written before the cal:K fidelity was
+// removed: its spec no longer parses, so no coordinator can re-expand
+// it.
+const calSweepLog = `{"header":{"schema":1,"spec":"plat=homog2;wl=jpeg;fid=cal:1","seed":1,"spec_hash":"c1ab9f397e2deaf5","points":1}}
+{"point":{"id":0,"seed":6926380721045532384,"plat":{"kind":"homog","cores":2,"fabric":"mesh","dvfs":1},"wl":"jpeg","wl_seed":8122140913899446262,"heur":"list","fid":"cal","quantum":64,"cal_probes":[{"heur":"list","seed":6926380721045532384}]},"metrics":{"makespan_ps":2364098000,"throughput_hz":422.9943090345663,"busy_ps":4520000000,"util_mean":0.9559671384181196,"util_max":0.964427024598811,"energy":0.004530409799999999,"area":2.6100000000000003,"noc_transfers":2,"noc_wait_ps":0,"sim_events":30,"cal_scale":1,"cal_samples":1}}
+`
+
+// TestDirRescanNamesSpecParseError: directory recovery skips a log
+// whose spec no longer parses, names the parse error in the skip line
+// rather than a hash mismatch, leaves the file in place, and still
+// recovers the valid sweep beside it. The same spec is refused with
+// HTTP 400 at registration.
+func TestDirRescanNamesSpecParseError(t *testing.T) {
+	dir := t.TempDir()
+	_, lines := sweepLines(t, "smoke", 1)
+	srv, err := New(Config{CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rr := registerSweep(t, srv.Handler(), "smoke", 1)
+	id := rr.Sweep.ID
+	if _, ack, _ := postLinesSweep(t, srv.Handler(), "w", id, 0, lines[:5]); ack.Accepted != 5 {
+		t.Fatal("seeding the valid sweep failed")
+	}
+	srv.Close()
+	calPath := filepath.Join(dir, "sw-c1ab9f397e2deaf5.jsonl")
+	if err := os.WriteFile(calPath, []byte(calSweepLog), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	srv2, err := New(Config{CheckpointDir: dir, Log: log.New(&logs, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	h := srv2.Handler()
+	rows := listSweeps(t, h)
+	if len(rows) != 1 || rows[0].ID != id || rows[0].Done != 5 {
+		t.Fatalf("recovered %+v, want only %s at 5 points", rows, id)
+	}
+	want := fmt.Sprintf("skipping checkpoint %s: dse: unknown fidelity %q", calPath, "cal:1")
+	if !strings.Contains(logs.String(), want) {
+		t.Fatalf("log does not name the parse error %q:\n%s", want, logs.String())
+	}
+	if got, err := os.ReadFile(calPath); err != nil || string(got) != calSweepLog {
+		t.Fatalf("skipped log was modified or removed (err %v)", err)
+	}
+	if code, _ := registerSweep(t, h, "plat=homog2;wl=jpeg;fid=cal:1", 1); code != http.StatusBadRequest {
+		t.Fatalf("POST /sweeps fid=cal:1: HTTP %d, want 400", code)
 	}
 }
 

@@ -190,7 +190,8 @@ func (s *Server) logPath(id string) string {
 // sweeps active restarts, finds N logs, and resumes each one exactly
 // where its accepted lines end. Each log is read once and adopted from
 // what was read. Stale atomic-write temp files are swept out first;
-// empty files and files whose header does not reproduce its own spec
+// empty files, files whose spec no longer parses (logged with the
+// parse error) and files whose header does not reproduce its own spec
 // hash locally (foreign engine) are skipped, never adopted; a log that
 // cannot be read is an error rather than a tenant silently dropped.
 func (s *Server) rescanDir() error {
@@ -217,7 +218,11 @@ func (s *Server) rescanDir() error {
 			continue
 		}
 		points, header, err := expandSpec(lg.Header.Spec, lg.Header.Seed)
-		if err != nil || header.SpecHash != lg.Header.SpecHash {
+		if err != nil {
+			s.cfg.Log.Printf("skipping checkpoint %s: %v", path, err)
+			continue
+		}
+		if header.SpecHash != lg.Header.SpecHash {
 			s.cfg.Log.Printf("skipping checkpoint %s: spec does not reproduce hash %s locally", path, lg.Header.SpecHash)
 			continue
 		}

@@ -41,11 +41,6 @@ type EvalContext struct {
 	// so hand-built points that share a token but not app seeds can
 	// never alias.
 	multis map[string]*multiEntry
-	// cals caches per-group calibration fits (fid=cal) by calKey: the
-	// probe measurements and least-squares factors are computed once
-	// per (platform, workload, probes) group per worker; any worker
-	// recomputes identical values, so sharding never changes bytes.
-	cals map[string]*calEntry
 
 	// vpBusy is vpRefine's scratch for the busy PEs' compute times.
 	vpBusy []sim.Time
@@ -79,7 +74,6 @@ func NewEvalContext() *EvalContext {
 	return &EvalContext{
 		graphs: map[graphKey]*taskgraph.Graph{},
 		multis: map[string]*multiEntry{},
-		cals:   map[string]*calEntry{},
 	}
 }
 

@@ -70,7 +70,7 @@
 //	app      = "jpeg" | "h264" | "carradio" | "synth" int ;
 //
 //	heur     = "list" | "anneal" | "exhaustive" ;
-//	fid      = "mvp" | "pipe" int | "vp" int | "cal" ":" int ;
+//	fid      = "mvp" | "pipe" int | "vp" int ;
 //	mem      = "ideal" | "bank" ":" int "x" int | "bw" ":" int ;
 //
 // A mix platform token ("2xrisc+4xdsp@3200") builds the listed core
@@ -79,15 +79,7 @@
 // ("multi:jpeg+carradio+synth8") evaluates the listed applications as
 // one concurrent usage scenario — the union of their task graphs is
 // mapped and executed with every application active at once, and the
-// concurrency analysis reports the scenario's worst-case load. A
-// "cal:K" fidelity token scores points at task-level (mvp) speed with
-// calibrated makespans: per (platform, workload) group, up to K probe
-// mappings are measured on the instruction-level virtual platform,
-// per-PE-class WCET scale factors are fitted to the paired
-// (task-level estimate, vp measurement) samples by least squares, and
-// every point's bottleneck compute is rescaled by its class's factor
-// (probe points reuse their vp measurement verbatim, so K covering
-// the whole group degenerates to vp-identical ranking).
+// concurrency analysis reports the scenario's worst-case load.
 // A "mem=" dimension crosses memory-subsystem contention models into
 // the sweep: "ideal" is the uncontended default (byte-identical to
 // omitting the dimension), "bank:BxC" queues cross-PE payloads on B
@@ -165,8 +157,7 @@ func (s PlatSpec) Token() string {
 
 // String renders the spec as the compact "kind/fabric/dN" token used
 // in tables and logs, with "/mem" appended when a memory model is
-// attached. Calibration caches key on this string, so cal groups
-// never mix measurements across memory models.
+// attached.
 func (s PlatSpec) String() string {
 	str := s.Token() + "/" + s.Fabric + "/d" + strconv.Itoa(s.DVFS)
 	if s.Mem != "" {
@@ -214,31 +205,14 @@ type Point struct {
 	Heuristic string `json:"heur"`
 	// Fidelity is mvp (one-shot task-level mapping.Execute), pipe
 	// (pipelined task-level), vp (instruction-level virtual platform
-	// with temporal decoupling, computed in closed form), cal
-	// (task-level with WCET scale factors calibrated against vp probe
-	// measurements) or rtos (online scheduler).
+	// with temporal decoupling, computed in closed form) or rtos
+	// (online scheduler).
 	Fidelity string `json:"fid"`
 	// Iterations is the pipelined frame count (pipe fidelity).
 	Iterations int `json:"iters,omitempty"`
 	// Quantum is the temporal-decoupling quantum in instructions per
-	// kernel event (vp and cal fidelities).
+	// kernel event (vp fidelity).
 	Quantum int `json:"quantum,omitempty"`
-	// CalProbes lists the probe mappings whose vp measurements
-	// calibrate this point's makespan (cal fidelity only), in group
-	// heuristic order. Stamped at expansion, so a point carries its
-	// group's full probe identity and any shard computes the identical
-	// fit without seeing the rest of the sweep.
-	CalProbes []CalProbe `json:"cal_probes,omitempty"`
-}
-
-// CalProbe names one calibration probe of a cal point's (platform,
-// workload) group: a sibling mapping identified by its heuristic and
-// mapping seed. The probe's mapping is executed at task level and
-// re-measured on the virtual platform; the pair calibrates the
-// group's WCET scale factors.
-type CalProbe struct {
-	Heur string `json:"heur"`
-	Seed uint64 `json:"seed"`
 }
 
 // Metrics is the measurement record of one evaluated design point.
@@ -282,16 +256,6 @@ type Metrics struct {
 	// the task-level mvp fidelity only — a vp-refined headline
 	// makespan has no consistent task-level split).
 	AppMakespanPS []int64 `json:"app_makespan_ps,omitempty"`
-	// CalScale is the fitted WCET scale factor applied to the point's
-	// bottleneck PE class (cal fidelity only).
-	CalScale float64 `json:"cal_scale,omitempty"`
-	// CalRMS is the calibration fit's root-mean-square residual across
-	// probe samples, in picoseconds (cal fidelity only) — the audit
-	// number for how well the scaled task-level model tracks the vp.
-	CalRMS float64 `json:"cal_rms,omitempty"`
-	// CalSamples is the number of probe measurements behind the fit
-	// (cal fidelity only).
-	CalSamples int `json:"cal_samples,omitempty"`
 }
 
 // Result pairs a point with its metrics; Err records evaluation

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -216,6 +217,30 @@ func TestParseSweepErrors(t *testing.T) {
 	} {
 		if _, err := ParseSweep(bad, 1); err == nil {
 			t.Errorf("ParseSweep(%q) accepted", bad)
+		}
+	}
+}
+
+// TestFidelityTokenBounds: pipeN and vpN parse only inside their
+// caps, and every rejection names the accepted form — including for
+// the removed cal:K tokens a pre-removal spec may still carry.
+func TestFidelityTokenBounds(t *testing.T) {
+	for _, tc := range []struct{ tok, want string }{
+		{"vp9223372036854775807", "vpN, 1 <= N <= 65536"},
+		{"vp65537", "vpN, 1 <= N <= 65536"},
+		{"vp0", "vpN, 1 <= N <= 65536"},
+		{"pipe1025", "pipeN, 1 <= N <= 1024"},
+		{"pipe0", "pipeN, 1 <= N <= 1024"},
+		{"cal:1", "want mvp, pipeN or vpN"},
+	} {
+		_, err := ParseSweep("fid="+tc.tok, 1)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("fid=%s: err %v, want it to name %q", tc.tok, err, tc.want)
+		}
+	}
+	for _, tok := range []string{"vp65536", "pipe1024", "vp1", "pipe1", "mvp"} {
+		if _, err := ParseSweep("fid="+tok, 1); err != nil {
+			t.Errorf("fid=%s rejected: %v", tok, err)
 		}
 	}
 }

@@ -126,7 +126,7 @@ func (c *EvalContext) evaluate(p Point) (Metrics, error) {
 	var stats mapping.ExecStats
 	var appMk []sim.Time
 	switch p.Fidelity {
-	case "mvp", "vp", "cal":
+	case "mvp", "vp":
 		if spans != nil {
 			stats, appMk, err = mapping.ExecuteMulti(a, spans)
 		} else {
@@ -162,11 +162,6 @@ func (c *EvalContext) evaluate(p Point) (Metrics, error) {
 		m.ThroughputHz = float64(units) / makespan.Seconds()
 		m.SimEvents = events
 		m.VPInstr = instr
-	}
-	if p.Fidelity == "cal" {
-		if err := c.calibrate(p, plat, stats, &m, units); err != nil {
-			return Metrics{}, err
-		}
 	}
 	return m, nil
 }

@@ -61,8 +61,8 @@ func FuzzParseSweep(f *testing.F) {
 		"wl=multi:synth2+synth2;plat=2xrisc",
 		"plat=celllike4;;wl= jpeg , carradio ;dvfs=-1",
 		"plat=03xrisc@01000;wl=synth02",
-		"plat=homog4;wl=jpeg,synth8;heur=list,anneal;fid=mvp,cal:2",
-		"fid=cal:32,cal:1,vp64;wl=multi:jpeg+synth4;plat=2xrisc+1xdsp",
+		"plat=homog4;wl=jpeg,synth8;heur=list,anneal;fid=mvp,pipe1024,vp65536",
+		"fid=pipe1025,vp64;wl=multi:jpeg+synth4;plat=2xrisc+1xdsp",
 		"plat=homog4;wl=jpeg;mem=ideal,bank:4x2,bw:8",
 		"mem=bank:64x8,bw:1024,bank:1x1;plat=wireless;wl=synth8;fid=mvp,vp64",
 		"plat=homog2;wl=jpeg;mem=bank:0x2,bank:4,bw:0,dram",
@@ -124,16 +124,18 @@ func FuzzPlatToken(f *testing.F) {
 	})
 }
 
-// FuzzFidelityToken holds the fid-dimension token round trip,
-// covering mvp/pipeN/vpN and the cal:K calibration grammar: no token
-// panics the parser, accepted tokens carry bounded parameters (so a
-// hostile shard header cannot demand an unbounded probe fan-out), and
-// parse → canonical render → parse is the identity.
+// FuzzFidelityToken holds the fid-dimension token round trip over
+// mvp, pipeN and vpN: no token panics the parser, only those three
+// kinds parse, accepted tokens carry bounded parameters (so a hostile
+// shard header cannot demand an overflowing vp quantum or an
+// unsplittable pipe point), and parse → canonical render → parse is
+// the identity. The removed cal:K tokens are rejection inputs.
 func FuzzFidelityToken(f *testing.F) {
 	for _, seed := range []string{
 		"mvp", "pipe8", "pipe1", "vp64", "vp1",
-		"cal:1", "cal:4", "cal:32", "cal:0", "cal:33", "cal:-1",
-		"cal:", "cal", "vp", "pipe", "vp064", "cal:04", "cal:+1",
+		"pipe1024", "pipe1025", "pipe0", "vp65536", "vp65537",
+		"vp9223372036854775807", "vp", "pipe", "vp064", "cal:1",
+		"cal:4", "pipe+1", "vp-1",
 	} {
 		f.Add(seed)
 	}
@@ -143,12 +145,20 @@ func FuzzFidelityToken(f *testing.F) {
 			return
 		}
 		switch fs.Kind {
-		case "mvp", "pipe", "vp", "cal":
+		case "mvp":
+			if fs.Iterations != 0 || fs.Quantum != 0 {
+				t.Fatalf("token %q parsed to mvp with parameters %+v", tok, fs)
+			}
+		case "pipe":
+			if fs.Iterations < 1 || fs.Iterations > maxPipeIterations || fs.Quantum != 0 {
+				t.Fatalf("token %q parsed to unbounded pipe %+v (want 1..%d iterations)", tok, fs, maxPipeIterations)
+			}
+		case "vp":
+			if fs.Quantum < 1 || fs.Quantum > maxVPQuantum || fs.Iterations != 0 {
+				t.Fatalf("token %q parsed to unbounded vp %+v (want quantum 1..%d)", tok, fs, maxVPQuantum)
+			}
 		default:
 			t.Fatalf("token %q parsed to unknown kind %q", tok, fs.Kind)
-		}
-		if fs.Kind == "cal" && (fs.Probes < 1 || fs.Probes > 32) {
-			t.Fatalf("token %q parsed to %d probes (want 1..32)", tok, fs.Probes)
 		}
 		fs2, err := parseFidelity(fs.String())
 		if err != nil {

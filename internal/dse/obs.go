@@ -20,25 +20,20 @@ type EvalObs struct {
 	// Errors counts evaluations that returned an error in Result.Err.
 	Errors *obs.Counter
 
-	// LatMVP, LatPipe, LatVP, LatCal and LatRTOS record per-point
+	// LatMVP, LatPipe, LatVP and LatRTOS record per-point
 	// evaluation wall-clock latency in microseconds, one histogram per
 	// fidelity.
 	LatMVP  *obs.Histogram
 	LatPipe *obs.Histogram
 	LatVP   *obs.Histogram
-	LatCal  *obs.Histogram
 	LatRTOS *obs.Histogram
 
 	// GraphHits/GraphMisses count workload-graph prototype cache
-	// lookups; MultiHits/MultiMisses the multi-app scenario cache;
-	// CalHits/CalMisses the per-group calibration-fit cache (a miss
-	// measures the group's probes on the vp and fits the factors).
+	// lookups; MultiHits/MultiMisses the multi-app scenario cache.
 	GraphHits   *obs.Counter
 	GraphMisses *obs.Counter
 	MultiHits   *obs.Counter
 	MultiMisses *obs.Counter
-	CalHits     *obs.Counter
-	CalMisses   *obs.Counter
 	// VPHits and VPMisses are always 0: vp refinement is closed-form
 	// and has no cache. NewEvalObs leaves them nil (unregistered);
 	// they remain for readers that still compute a vp hit ratio.
@@ -84,15 +79,12 @@ func NewEvalObs(r *obs.Registry) EvalObs {
 		LatMVP:  latency("mvp"),
 		LatPipe: latency("pipe"),
 		LatVP:   latency("vp"),
-		LatCal:  latency("cal"),
 		LatRTOS: latency("rtos"),
 
 		GraphHits:   cacheHit("graph"),
 		GraphMisses: cacheMiss("graph"),
 		MultiHits:   cacheHit("multi"),
 		MultiMisses: cacheMiss("multi"),
-		CalHits:     cacheHit("cal"),
-		CalMisses:   cacheMiss("cal"),
 
 		SimScheduled: r.Counter("sim_events_scheduled_total", "Kernel events scheduled."),
 		SimExecuted:  r.Counter("sim_events_executed_total", "Kernel events executed."),
@@ -122,8 +114,6 @@ func (o *EvalObs) latency(fid string) *obs.Histogram {
 		return o.LatPipe
 	case "vp":
 		return o.LatVP
-	case "cal":
-		return o.LatCal
 	case "rtos":
 		return o.LatRTOS
 	}

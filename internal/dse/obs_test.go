@@ -151,7 +151,6 @@ func TestLatencyHistogramPerFidelity(t *testing.T) {
 		{"mvp", "synth8", "mvp"},
 		{"pipe4", "synth8", "pipe"},
 		{"vp64", "synth8", "vp"},
-		{"cal:2", "synth8", "cal"},
 		{"mvp", "jobs8", "rtos"},
 	}
 	o := NewEvalObs(obs.NewRegistry())

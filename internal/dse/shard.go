@@ -62,14 +62,6 @@ func EstCost(p Point) float64 {
 			it = 8
 		}
 		c *= 0.2 + float64(it)/50
-	case "cal":
-		// A cal point is task-level plus its share of the group's
-		// probe measurements (each one task-level evaluation with a
-		// closed-form vp refinement, paid once per group by whichever
-		// shard sees the group first); averaging the probe cost over
-		// a two-member group keeps shard boundaries near the truth
-		// without knowing the group size here.
-		c *= 1 + 0.5*float64(len(p.CalProbes))
 	case "rtos":
 		n := p.N
 		if n <= 0 {

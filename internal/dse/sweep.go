@@ -39,21 +39,18 @@ func (w WorkloadSpec) String() string {
 
 // FidelitySpec names one simulation-fidelity dimension value.
 type FidelitySpec struct {
-	Kind       string // mvp | pipe | vp | cal
+	Kind       string // mvp | pipe | vp
 	Iterations int    // pipe
-	Quantum    int    // vp, cal
-	Probes     int    // cal: vp probe mappings per (platform, workload) group
+	Quantum    int    // vp
 }
 
-// String renders the fidelity token ("mvp", "pipe8", "vp64", "cal:4").
+// String renders the fidelity token ("mvp", "pipe8", "vp64").
 func (f FidelitySpec) String() string {
 	switch f.Kind {
 	case "pipe":
 		return fmt.Sprintf("pipe%d", f.Iterations)
 	case "vp":
 		return fmt.Sprintf("vp%d", f.Quantum)
-	case "cal":
-		return fmt.Sprintf("cal:%d", f.Probes)
 	}
 	return f.Kind
 }
@@ -127,7 +124,7 @@ func (s *Sweep) Points() ([]Point, error) {
 							heurs = []string{"-"}
 							fids = []FidelitySpec{{Kind: "rtos"}}
 						}
-						for hi, h := range heurs {
+						for _, h := range heurs {
 							for _, f := range fids {
 								ps := plat
 								ps.Fabric = fab
@@ -145,28 +142,6 @@ func (s *Sweep) Points() ([]Point, error) {
 									Fidelity:     f.Kind,
 									Iterations:   f.Iterations,
 									Quantum:      f.Quantum,
-								}
-								if f.Kind == "cal" {
-									if p.Quantum < 1 {
-										p.Quantum = calProbeQuantum
-									}
-									// The group's probes are its first K sibling
-									// mappings (same plat/fab/dvfs/wl, the other
-									// heuristics of this fidelity). Sibling IDs
-									// differ by the fidelity stride, so each
-									// probe's mapping seed is recomputable here
-									// and identical for every group member.
-									k := f.Probes
-									if k > len(heurs) {
-										k = len(heurs)
-									}
-									for m := 0; m < k; m++ {
-										pid := id - (hi-m)*len(fids)
-										p.CalProbes = append(p.CalProbes, CalProbe{
-											Heur: heurs[m],
-											Seed: seedFor(s.Seed, "point", pid),
-										})
-									}
 								}
 								if wl.Kind == "multi" {
 									// The token is the workload identity; each
@@ -420,6 +395,16 @@ func (s *Sweep) Spec() string {
 	return strings.Join(dims, ";")
 }
 
+// Fidelity token bounds. A sweep spec arrives from outside the
+// program (POST /sweeps, shard headers), so pipeN and vpN are capped
+// like the platform and workload counts: an unbounded vpN overflows
+// the closed-form vp refinement's burst count, and one huge pipeN
+// point is a lease no worker finishes.
+const (
+	maxPipeIterations = 1024
+	maxVPQuantum      = 65536
+)
+
 // parseFidelity parses a fidelity token: mvp, pipeN (N pipelined
 // iterations) or vpN (N-instruction temporal-decoupling quantum).
 func parseFidelity(tok string) (FidelitySpec, error) {
@@ -428,31 +413,17 @@ func parseFidelity(tok string) (FidelitySpec, error) {
 	}
 	if rest, ok := strings.CutPrefix(tok, "pipe"); ok {
 		n, err := strconv.Atoi(rest)
-		if err != nil || n < 1 {
-			return FidelitySpec{}, fmt.Errorf("dse: bad fidelity token %q (want e.g. pipe8)", tok)
+		if err != nil || n < 1 || n > maxPipeIterations {
+			return FidelitySpec{}, fmt.Errorf("dse: bad fidelity token %q (want pipeN, 1 <= N <= %d)", tok, maxPipeIterations)
 		}
 		return FidelitySpec{Kind: "pipe", Iterations: n}, nil
 	}
 	if rest, ok := strings.CutPrefix(tok, "vp"); ok {
 		n, err := strconv.Atoi(rest)
-		if err != nil || n < 1 {
-			return FidelitySpec{}, fmt.Errorf("dse: bad fidelity token %q (want e.g. vp64)", tok)
+		if err != nil || n < 1 || n > maxVPQuantum {
+			return FidelitySpec{}, fmt.Errorf("dse: bad fidelity token %q (want vpN, 1 <= N <= %d)", tok, maxVPQuantum)
 		}
 		return FidelitySpec{Kind: "vp", Quantum: n}, nil
 	}
-	if rest, ok := strings.CutPrefix(tok, "cal:"); ok {
-		n, err := strconv.Atoi(rest)
-		if err != nil || n < 1 || n > 32 {
-			return FidelitySpec{}, fmt.Errorf("dse: bad fidelity token %q (want cal:K, 1 <= K <= 32)", tok)
-		}
-		// Probe measurements run on the decoupled vp at the default
-		// sweep quantum; precise probing is what fid=vp1 is for.
-		return FidelitySpec{Kind: "cal", Probes: n, Quantum: calProbeQuantum}, nil
-	}
-	return FidelitySpec{}, fmt.Errorf("dse: unknown fidelity %q", tok)
+	return FidelitySpec{}, fmt.Errorf("dse: unknown fidelity %q (want mvp, pipeN or vpN)", tok)
 }
-
-// calProbeQuantum is the temporal-decoupling quantum calibration
-// probes are measured at — the default sweep's vp quantum, so a cal
-// probe and the vp64 point of the same mapping measure identically.
-const calProbeQuantum = 64

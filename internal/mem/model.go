@@ -45,7 +45,8 @@ type Model interface {
 }
 
 // Spec bounds: hostile shard headers re-expand specs on every merge
-// host, so token parameters are capped like cal:K probes are.
+// host, so token parameters are capped like the pipeN and vpN fidelity
+// tokens are.
 const (
 	// MaxBanks bounds bank:BxC bank counts.
 	MaxBanks = 64
