@@ -98,3 +98,30 @@ func BenchmarkSweepPointObs(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRTOSPoint is one rtos design point — a 32-job bag on the
+// hybrid time-/space-shared scheduler of section II-B — evaluated on a
+// reused EvalContext, as a sweep worker does.
+func BenchmarkRTOSPoint(b *testing.B) {
+	p := Point{
+		ID:   0,
+		Seed: 12345,
+		Plat: PlatSpec{Kind: "homog", Cores: 4, Fabric: "mesh", DVFS: 1},
+
+		Workload:     "jobs",
+		N:            32,
+		WorkloadSeed: 99,
+		Heuristic:    "-",
+		Fidelity:     "rtos",
+	}
+	c := NewEvalContext()
+	c.Evaluate(p) // warm the context
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := c.Evaluate(p)
+		if r.Err != "" {
+			b.Fatal(r.Err)
+		}
+	}
+}

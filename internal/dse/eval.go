@@ -443,10 +443,6 @@ func evalJobs(p Point, k *sim.Kernel, plat *platform.Platform, area float64) (Me
 		c.SpaceShared = i != 0
 	}
 	s := rtos.NewHybrid(k, plat, rtos.DefaultConfig())
-	// Closing the scheduler unwinds its dispatcher processes, so the
-	// context's kernel is Reset for the next point instead of being
-	// replaced with their goroutines still parked on it.
-	defer s.Close()
 	r := xrand.New(p.WorkloadSeed)
 	n := p.N
 	if n <= 0 {

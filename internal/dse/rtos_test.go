@@ -2,49 +2,54 @@ package dse
 
 import (
 	"encoding/json"
-	"runtime"
 	"testing"
-	"time"
 )
 
-// TestRTOSPointsLeakNoGoroutines: evaluating rtos points on one
-// context leaves no scheduler goroutine behind, so the context's
-// kernel is reused rather than replaced, and the results stay
-// byte-identical to fresh-context evaluations.
-func TestRTOSPointsLeakNoGoroutines(t *testing.T) {
-	p := Point{
-		Plat:     PlatSpec{Kind: "homog", Cores: 4, Fabric: "mesh", DVFS: 1},
-		Workload: "jobs", N: 8, Heuristic: "-", Fidelity: "rtos",
+// TestEvaluateRunsNoProcess: no point kind starts a simulation process.
+// One context evaluates mvp, pipe, vp, multi-app and rtos points in
+// turn; after each, its kernel has no live process and is the same
+// kernel (Reset, not replaced), and the result is byte-identical to a
+// fresh context's.
+func TestEvaluateRunsNoProcess(t *testing.T) {
+	wireless := PlatSpec{Kind: "wireless", Fabric: "mesh", DVFS: 1}
+	homog := PlatSpec{Kind: "homog", Cores: 4, Fabric: "mesh", DVFS: 1}
+	points := []Point{
+		{Plat: wireless, Workload: "synth", N: 12, WorkloadSeed: 5, Heuristic: "list", Fidelity: "mvp"},
+		{Plat: wireless, Workload: "h264", Heuristic: "anneal", Fidelity: "pipe", Iterations: 4, Seed: 7},
+		{Plat: homog, Workload: "synth", N: 12, WorkloadSeed: 5, Heuristic: "list", Fidelity: "vp", Quantum: 64},
+		{Plat: homog, Workload: "multi:synth8+synth8", WorkloadSeed: 55, Heuristic: "list", Fidelity: "mvp",
+			Apps: []AppRef{{Kind: "synth", N: 8, Seed: 100}, {Kind: "synth", N: 8, Seed: 200}}},
+		{Plat: homog, Workload: "jobs", N: 8, WorkloadSeed: 1000, Heuristic: "-", Fidelity: "rtos"},
+		{Plat: homog, Workload: "jobs", N: 32, WorkloadSeed: 1001, Heuristic: "-", Fidelity: "rtos"},
 	}
 	c := NewEvalContext()
-	c.Evaluate(p) // warm up
-	before := runtime.NumGoroutine()
 	k := c.k
-	for i := 0; i < 50; i++ {
-		p.ID, p.WorkloadSeed = i, uint64(1000+i)
-		got, err := json.Marshal(c.Evaluate(p))
-		if err != nil {
-			t.Fatal(err)
+	for round := 0; round < 2; round++ {
+		for i, p := range points {
+			p.ID = i
+			r := c.Evaluate(p)
+			if r.Err != "" {
+				t.Fatalf("%s/%s point: %s", p.Workload, p.Fidelity, r.Err)
+			}
+			if n := c.k.LiveProcs(); n != 0 {
+				t.Fatalf("%s/%s point left %d live processes", p.Workload, p.Fidelity, n)
+			}
+			if k == nil {
+				k = c.k
+			} else if c.k != k {
+				t.Fatalf("%s/%s point: the context replaced its kernel", p.Workload, p.Fidelity)
+			}
+			got, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(NewEvalContext().Evaluate(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("%s/%s point: reused context\n%s\nfresh context\n%s", p.Workload, p.Fidelity, got, want)
+			}
 		}
-		want, err := json.Marshal(NewEvalContext().Evaluate(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(want) {
-			t.Fatalf("point %d: reused context\n%s\nfresh context\n%s", i, got, want)
-		}
-	}
-	if c.k != k {
-		t.Fatal("the context replaced its kernel: an rtos point left live processes behind")
-	}
-	// Fresh contexts' kernels are garbage once their dispatchers have
-	// unwound; give any goroutine still returning a moment to exit.
-	after := runtime.NumGoroutine()
-	for i := 0; i < 100 && after > before; i++ {
-		time.Sleep(time.Millisecond)
-		after = runtime.NumGoroutine()
-	}
-	if after > before {
-		t.Fatalf("50 rtos points leaked %d goroutines", after-before)
 	}
 }

@@ -12,8 +12,8 @@
 package rtos
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 
 	"mpsockit/internal/platform"
 	"mpsockit/internal/sim"
@@ -127,9 +127,8 @@ type HybridScheduler struct {
 
 	// time-shared side
 	tsCores []*platform.Core
-	tsReady []*Job // EDF-ordered
-	tsWake  *sim.Signal
-	tsProcs []*sim.Proc // one dispatcher per time-shared core
+	tsReady []*Job   // EDF-ordered
+	tsIdle  []func() // idle dispatchers' continuations, in wait order
 
 	// space-shared side
 	ssFree []*platform.Core
@@ -146,7 +145,7 @@ type HybridScheduler struct {
 // least one core must exist in each pool; if the platform has no
 // time-shared cores, the first space-shared core is reassigned.
 func NewHybrid(k *sim.Kernel, p *platform.Platform, cfg Config) *HybridScheduler {
-	s := &HybridScheduler{K: k, P: p, Cfg: cfg, tsWake: k.NewSignal()}
+	s := &HybridScheduler{K: k, P: p, Cfg: cfg}
 	for _, c := range p.Cores {
 		if c.SpaceShared {
 			s.ssFree = append(s.ssFree, c)
@@ -159,25 +158,9 @@ func NewHybrid(k *sim.Kernel, p *platform.Platform, cfg Config) *HybridScheduler
 		s.ssFree = s.ssFree[1:]
 	}
 	for _, c := range s.tsCores {
-		s.tsProcs = append(s.tsProcs, s.runTimeShared(c))
+		k.Schedule(0, s.timeShared(c))
 	}
 	return s
-}
-
-// Close kills the time-shared dispatchers, which otherwise wait for
-// work forever, and steps the kernel until they have unwound, so the
-// kernel has no live processes left and can be Reset for reuse.
-// Events due at the current instant may fire while they unwind. The
-// scheduler must not be used after Close.
-func (s *HybridScheduler) Close() {
-	for _, p := range s.tsProcs {
-		p.Kill()
-	}
-	s.K.Resume() // a Stop would stall the drain
-	for _, p := range s.tsProcs {
-		for !p.Dead() && s.K.Step() {
-		}
-	}
 }
 
 // Submit enqueues a job at the current virtual time.
@@ -188,76 +171,89 @@ func (s *HybridScheduler) Submit(j *Job) {
 	switch j.Kind {
 	case Sequential:
 		s.enqueueTS(j)
-		s.tsWake.Broadcast()
+		for _, wake := range s.tsIdle {
+			s.K.Schedule(0, wake)
+		}
+		s.tsIdle = s.tsIdle[:0]
 	case Parallel:
 		if j.MaxWidth < 1 {
 			j.MaxWidth = 1
 		}
-		j.qseq = s.qctr
-		s.qctr++
-		s.ssWait = append(s.ssWait, j)
-		s.sortEDF(s.ssWait)
+		s.ssWait = s.insertEDF(s.ssWait, j)
 		s.K.Schedule(0, s.dispatchParallel)
 	}
 }
 
-// sortEDF orders by deadline (earliest first; best-effort last),
-// breaking ties by arrival then ID for determinism.
-func (s *HybridScheduler) sortEDF(jobs []*Job) {
-	sort.SliceStable(jobs, func(a, b int) bool {
-		da, db := jobs[a].Deadline, jobs[b].Deadline
-		if da == 0 {
-			da = sim.Forever
-		}
-		if db == 0 {
-			db = sim.Forever
-		}
-		if da != db {
-			return da < db
-		}
-		return jobs[a].qseq < jobs[b].qseq
-	})
+// edfCmp orders by deadline (earliest first; best-effort last), then
+// by enqueue sequence. qseq is unique, so the order is total.
+func edfCmp(a, b *Job) int {
+	da, db := a.Deadline, b.Deadline
+	if da == 0 {
+		da = sim.Forever
+	}
+	if db == 0 {
+		db = sim.Forever
+	}
+	if da != db {
+		return cmp.Compare(da, db)
+	}
+	return cmp.Compare(a.qseq, b.qseq)
 }
 
-// enqueueTS appends to the time-shared ready queue with a fresh
-// rotation sequence.
-func (s *HybridScheduler) enqueueTS(j *Job) {
+// insertEDF gives j a fresh rotation sequence and inserts it into the
+// EDF-ordered queue.
+func (s *HybridScheduler) insertEDF(queue []*Job, j *Job) []*Job {
 	j.qseq = s.qctr
 	s.qctr++
-	s.tsReady = append(s.tsReady, j)
-	s.sortEDF(s.tsReady)
+	i, _ := slices.BinarySearchFunc(queue, j, edfCmp)
+	return slices.Insert(queue, i, j)
 }
 
-// runTimeShared is the per-core dispatcher loop: EDF with quantum
-// slicing, context-switch overhead charged on every dispatch.
-func (s *HybridScheduler) runTimeShared(c *platform.Core) *sim.Proc {
-	return s.K.Spawn(fmt.Sprintf("ts-%s", c.Name), func(p *sim.Proc) {
-		for {
-			for len(s.tsReady) == 0 {
-				s.tsWake.Wait(p)
-			}
-			j := s.tsReady[0]
-			s.tsReady = s.tsReady[1:]
-			if j.Started == 0 {
-				j.Started = p.Now()
-			}
-			p.Delay(s.Cfg.CtxSwitch)
-			slice := c.TimeToCycles(s.Cfg.Quantum)
-			run := j.WorkCycles
-			if run > slice {
-				run = slice
-			}
-			dur := c.Cycles(run)
-			p.Delay(dur)
-			s.stats.BusyTime += dur
-			j.WorkCycles -= run
-			if j.WorkCycles <= 0 {
-				s.complete(j)
-			} else {
-				s.enqueueTS(j)
-			}
+// enqueueTS inserts j into the time-shared ready queue.
+func (s *HybridScheduler) enqueueTS(j *Job) { s.tsReady = s.insertEDF(s.tsReady, j) }
+
+// timeShared returns the dispatcher of time-shared core c — EDF with
+// quantum slicing, context-switch overhead charged on every dispatch —
+// as a state machine of kernel callbacks rather than a process:
+// dispatch takes the most urgent ready job and charges the switch,
+// switched runs one slice, and sliceEnd retires or re-queues the job
+// and dispatches again. A dispatcher that finds no ready job parks
+// its continuation on tsIdle until the next sequential Submit.
+func (s *HybridScheduler) timeShared(c *platform.Core) (dispatch func()) {
+	var (
+		j                  *Job
+		run                int64
+		dur                sim.Time
+		switched, sliceEnd func()
+	)
+	dispatch = func() {
+		if len(s.tsReady) == 0 {
+			s.tsIdle = append(s.tsIdle, dispatch)
+			return
 		}
-	})
+		j = s.tsReady[0]
+		s.tsReady = s.tsReady[1:]
+		if j.Started == 0 {
+			j.Started = s.K.Now()
+		}
+		s.K.Schedule(s.Cfg.CtxSwitch, switched)
+	}
+	switched = func() {
+		run = min(j.WorkCycles, c.TimeToCycles(s.Cfg.Quantum))
+		dur = c.Cycles(run)
+		s.K.Schedule(dur, sliceEnd)
+	}
+	sliceEnd = func() {
+		s.stats.BusyTime += dur
+		j.WorkCycles -= run
+		if j.WorkCycles <= 0 {
+			s.complete(j)
+		} else {
+			s.enqueueTS(j)
+		}
+		dispatch()
+	}
+	return dispatch
 }
 
 // dispatchParallel implements the reactive space-sharing policy:

@@ -216,23 +216,29 @@ func TestStatsTurnaround(t *testing.T) {
 	}
 }
 
-// TestCloseUnwindsDispatchers: after the bag drains, the time-shared
-// dispatchers still wait for work; Close unwinds them, both when they
-// are idle and when one is mid-slice, so the kernel can be Reset.
-func TestCloseUnwindsDispatchers(t *testing.T) {
-	for _, until := range []sim.Time{100 * sim.Millisecond, 300 * sim.Microsecond} {
-		k := sim.NewKernel()
-		s := NewHybrid(k, mixedPlatform(k, 2, 2), DefaultConfig())
-		s.Submit(&Job{Name: "seq", Kind: Sequential, WorkCycles: 1_000_000})
-		s.Submit(&Job{Name: "par", Kind: Parallel, MaxWidth: 2, WorkCycles: 1_000_000})
-		k.RunUntil(until)
-		if k.LiveProcs() != 2 {
-			t.Fatalf("run until %v: %d live processes before Close, want the 2 dispatchers", until, k.LiveProcs())
-		}
-		s.Close()
+// TestNoProcessThroughoutRun: the time-shared dispatchers are kernel
+// callbacks, so no process is live at any step of a run — idle, mid
+// context switch or mid slice — and the kernel can be Reset after the
+// bag drains without any scheduler teardown.
+func TestNoProcessThroughoutRun(t *testing.T) {
+	k := sim.NewKernel()
+	s := NewHybrid(k, mixedPlatform(k, 2, 2), DefaultConfig())
+	s.Submit(&Job{Name: "seq", Kind: Sequential, WorkCycles: 1_000_000})
+	s.Submit(&Job{Name: "par", Kind: Parallel, MaxWidth: 2, WorkCycles: 1_000_000})
+	// A late submit wakes the dispatchers after they have gone idle.
+	k.Schedule(5*sim.Millisecond, func() {
+		s.Submit(&Job{Name: "late", Kind: Sequential, WorkCycles: 1_000_000})
+	})
+	for steps := 0; ; steps++ {
 		if n := k.LiveProcs(); n != 0 {
-			t.Fatalf("run until %v: %d live processes after Close", until, n)
+			t.Fatalf("after %d steps: %d live processes", steps, n)
 		}
-		k.Reset() // panics on live processes
+		if !k.Step() {
+			break
+		}
 	}
+	if st := s.Stats(); st.Completed != 3 {
+		t.Fatalf("completed %d/3", st.Completed)
+	}
+	k.Reset() // panics on live processes
 }

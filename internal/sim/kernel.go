@@ -141,11 +141,10 @@ type KernelStats struct {
 // concurrent use; all model code runs on the kernel's goroutine (or in
 // lock-step handoff with it, for processes).
 type Kernel struct {
-	now     Time
-	queue   []*event
-	free    []*event
-	seq     uint64
-	stopped bool
+	now   Time
+	queue []*event
+	free  []*event
+	seq   uint64
 	// Executed counts events dispatched since construction; useful as
 	// a progress measure and in tests.
 	Executed uint64
@@ -248,9 +247,9 @@ func (k *Kernel) Cancel(ev Event) {
 func (k *Kernel) Stats() KernelStats { return k.stats }
 
 // Step executes the single next event. It returns false when the queue
-// is empty or the kernel has been stopped.
+// is empty.
 func (k *Kernel) Step() bool {
-	if k.stopped || len(k.queue) == 0 {
+	if len(k.queue) == 0 {
 		return false
 	}
 	e := k.heapPop()
@@ -272,7 +271,7 @@ func (k *Kernel) Step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (k *Kernel) Run() {
 	for k.Step() {
 	}
@@ -283,10 +282,10 @@ func (k *Kernel) Run() {
 // it). It returns the number of events executed.
 func (k *Kernel) RunUntil(deadline Time) uint64 {
 	start := k.Executed
-	for !k.stopped && len(k.queue) > 0 && k.queue[0].at <= deadline {
+	for len(k.queue) > 0 && k.queue[0].at <= deadline {
 		k.Step()
 	}
-	if !k.stopped && k.now < deadline {
+	if k.now < deadline {
 		k.now = deadline
 	}
 	return k.Executed - start
@@ -319,18 +318,8 @@ func (k *Kernel) Reset() {
 	k.queue = k.queue[:0]
 	k.now = 0
 	k.seq = 0
-	k.stopped = false
 	k.Executed = 0
 }
-
-// Stop halts the run loop after the current event handler returns.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (k *Kernel) Stopped() bool { return k.stopped }
-
-// Resume clears a previous Stop so the kernel can run again.
-func (k *Kernel) Resume() { k.stopped = false }
 
 // --- Event heap (inlined binary heap; avoids container/heap's
 // interface dispatch on the hottest code in the system) ---

@@ -20,17 +20,15 @@ import "fmt"
 // go1.24) task-level execution cost 964 ns per kernel event while it
 // ran its tasks as processes, and 176 ns once they ran as Schedule
 // callbacks. Proc is for blocking-style models that need a
-// call stack across suspensions (the RTOS dispatchers, the virtual
-// platform's cores, TTDD, CIC, OSIP, DMA); task-level execution
-// (mapping.Execute and friends) uses callbacks.
+// call stack across suspensions (the virtual platform's cores, TTDD,
+// CIC, OSIP, DMA); task-level execution (mapping.Execute and friends)
+// and the RTOS dispatchers use callbacks.
 type Proc struct {
 	Name   string
 	k      *Kernel
 	resume chan struct{}
 	yield  chan struct{}
 	dead   bool
-	// Killed is set when the process is terminated externally.
-	Killed bool
 }
 
 // Spawn starts body as a new process at the current virtual time.
@@ -52,28 +50,20 @@ func (k *Kernel) SpawnAfter(name string, delay Time, body func(p *Proc)) *Proc {
 	go func() {
 		<-p.resume
 		defer func() {
-			// A killed process unwinds via panic(procKilled); anything
-			// else is a genuine model bug and is re-raised on the
-			// kernel goroutine by poisoning the handoff.
-			if r := recover(); r != nil && r != procKilled {
-				p.dead = true
-				p.k.procs--
-				panic(fmt.Sprintf("sim: process %q panicked: %v", p.Name, r))
-			}
 			p.dead = true
 			p.k.procs--
+			// A panic in the body is a model bug: crash loudly, naming
+			// the process, rather than hang the kernel.
+			if r := recover(); r != nil {
+				panic(fmt.Sprintf("sim: process %q panicked: %v", p.Name, r))
+			}
 			p.yield <- struct{}{}
 		}()
-		if !p.Killed {
-			body(p)
-		}
+		body(p)
 	}()
 	k.ScheduleProc(delay, 0, p)
 	return p
 }
-
-// procKilled is the sentinel used to unwind a killed process.
-var procKilled = new(int)
 
 // run transfers control to the process and blocks until it parks
 // again (in Delay/Wait/…) or terminates.
@@ -89,9 +79,6 @@ func (p *Proc) run() {
 func (p *Proc) park() {
 	p.yield <- struct{}{}
 	<-p.resume
-	if p.Killed {
-		panic(procKilled)
-	}
 }
 
 // Kernel returns the kernel this process runs on.
@@ -118,19 +105,6 @@ func (p *Proc) DelayP(d Time, prio int) {
 	p.k.ScheduleProc(d, prio, p)
 	p.park()
 }
-
-// Kill terminates the process the next time it would resume. If the
-// process is currently parked it is woken immediately to unwind.
-func (p *Proc) Kill() {
-	if p.dead || p.Killed {
-		return
-	}
-	p.Killed = true
-	p.k.ScheduleProc(0, 0, p)
-}
-
-// Dead reports whether the process body has returned or been killed.
-func (p *Proc) Dead() bool { return p.dead }
 
 // LiveProcs returns the number of processes that have been spawned and
 // have not yet terminated. Useful for leak checks in tests.

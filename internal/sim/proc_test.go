@@ -73,28 +73,6 @@ func TestSpawnAfter(t *testing.T) {
 	}
 }
 
-func TestKill(t *testing.T) {
-	k := NewKernel()
-	steps := 0
-	p := k.Spawn("victim", func(p *Proc) {
-		for {
-			p.Delay(1 * Nanosecond)
-			steps++
-		}
-	})
-	k.Schedule(5*Nanosecond, func() { p.Kill() })
-	k.Run()
-	if !p.Dead() {
-		t.Fatal("killed process not dead")
-	}
-	if steps == 0 || steps > 6 {
-		t.Fatalf("victim ran %d steps, want a handful then death", steps)
-	}
-	if k.LiveProcs() != 0 {
-		t.Fatalf("%d processes leaked", k.LiveProcs())
-	}
-}
-
 func TestSignalBroadcast(t *testing.T) {
 	k := NewKernel()
 	s := k.NewSignal()
