@@ -43,7 +43,7 @@ func testSpec(n int) *Spec {
 				In:              []PortSpec{{Name: "i", Rate: 1, TokenInts: 1}},
 				CyclesPerFiring: cyc(1000),
 				CodeBytes:       2 << 10, DataBytes: 1 << 10,
-				Go:              func(ctx *TaskCtx) { ctx.Emit(ctx.Read("i")[0]) },
+				Go: func(ctx *TaskCtx) { ctx.Emit(ctx.Read("i")[0]) },
 			},
 		},
 		Channels: []*ChannelSpec{

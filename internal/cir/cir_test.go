@@ -91,18 +91,18 @@ func TestParsePragmas(t *testing.T) {
 func TestParseErrors(t *testing.T) {
 	cases := []string{
 		"int;",
-		"void main() { x = 1; }",              // undeclared
-		"void main() { int x; x = y; }",       // undeclared rhs
-		"void main() { 3 = 4; }",              // bad lvalue
-		"void main() { int a[4]; a = 3; }",    // whole-array assign
-		"void main() { int x; x[0] = 1; }",    // index scalar
-		"void main() { foo(); }",              // unknown function
+		"void main() { x = 1; }",                             // undeclared
+		"void main() { int x; x = y; }",                      // undeclared rhs
+		"void main() { 3 = 4; }",                             // bad lvalue
+		"void main() { int a[4]; a = 3; }",                   // whole-array assign
+		"void main() { int x; x[0] = 1; }",                   // index scalar
+		"void main() { foo(); }",                             // unknown function
 		"int f(int a) { return a; } void main() { f(1,2); }", // arity
-		"void main() { print(1,2); }",         // builtin arity
-		"#pragma maps bogus=1\nvoid f() {}",   // unknown pragma key
-		"void f() {} void f() {}",             // duplicate function
-		"void main() { if (1) { } else",       // unterminated
-		"#pragma once\nvoid f() {}",           // non-maps pragma
+		"void main() { print(1,2); }",                        // builtin arity
+		"#pragma maps bogus=1\nvoid f() {}",                  // unknown pragma key
+		"void f() {} void f() {}",                            // duplicate function
+		"void main() { if (1) { } else",                      // unterminated
+		"#pragma once\nvoid f() {}",                          // non-maps pragma
 	}
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {
@@ -396,7 +396,7 @@ func TestCostModelShape(t *testing.T) {
 	`)
 	cm := NewCostModel(prog)
 	fn := prog.Func("mulheavy")
-	risc := cm.FuncCycles(fn, 0)     // platform.RISC
+	risc := cm.FuncCycles(fn, 0) // platform.RISC
 	dsp0 := NewCostModel(prog)
 	dsp := dsp0.FuncCycles(fn, 1) // platform.DSP
 	if dsp >= risc {

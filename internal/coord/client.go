@@ -91,6 +91,8 @@ type Worker struct {
 	log     *log.Logger
 	backoff *Backoff
 	sweeps  map[string]*workerSweep
+	// hbEvery is the heartbeat interval /hello advertised, a quarter
+	// of the coordinator's lease timeout; zero until /hello answers.
 	hbEvery time.Duration
 	// done is set when a result ack reports farm completion, so the
 	// worker exits without needing one more /lease round trip (the
@@ -370,26 +372,17 @@ func (w *Worker) submit(ctx context.Context, sweepID string, leaseID int64, line
 		if err := ctx.Err(); err != nil {
 			return ResultAck{}, err
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(lines))
-		if err != nil {
-			return ResultAck{}, err
-		}
-		req.Header.Set("Content-Type", "application/jsonl")
-		resp, err := w.client.Do(req)
+		ack, err := w.submitOnce(ctx, url, lines)
 		if err == nil {
-			ack, aerr := decodeAck(resp)
-			if aerr == nil {
-				w.Submitted += ack.Accepted
-				w.Duplicate += ack.Duplicates
-				if ack.Done {
-					w.done = true
-				}
-				return ack, nil
+			w.Submitted += ack.Accepted
+			w.Duplicate += ack.Duplicates
+			if ack.Done {
+				w.done = true
 			}
-			if errors.Is(aerr, ErrConflict) {
-				return ResultAck{}, aerr
-			}
-			err = aerr
+			return ack, nil
+		}
+		if errors.Is(err, ErrConflict) {
+			return ResultAck{}, err
 		}
 		lastErr = err
 		if serr := sleepCtx(ctx, w.backoff.Next()); serr != nil {
@@ -397,6 +390,23 @@ func (w *Worker) submit(ctx context.Context, sweepID string, leaseID int64, line
 		}
 	}
 	return ResultAck{}, fmt.Errorf("coord: submitting results after %d attempts: %w", w.cfg.MaxAttempts, lastErr)
+}
+
+// submitOnce is a single /results round trip, bounded by
+// attemptTimeout.
+func (w *Worker) submitOnce(ctx context.Context, url string, lines []byte) (ResultAck, error) {
+	ctx, cancel := context.WithTimeout(ctx, w.attemptTimeout())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(lines))
+	if err != nil {
+		return ResultAck{}, err
+	}
+	req.Header.Set("Content-Type", "application/jsonl")
+	resp, err := w.client.Do(req)
+	if err != nil {
+		return ResultAck{}, err
+	}
+	return decodeAck(resp)
 }
 
 // decodeAck reads a /results response, mapping HTTP status to error
@@ -440,12 +450,27 @@ func (w *Worker) call(ctx context.Context, path string, in, out any) error {
 	return fmt.Errorf("coord: %s after %d attempts: %w", path, w.cfg.MaxAttempts, lastErr)
 }
 
-// callOnce is a single JSON request/response round trip.
+// attemptTimeout bounds one request attempt by the coordinator's
+// lease timeout: four heartbeat intervals as /hello advertised them,
+// or defaultLeaseTimeout before /hello has answered. A coordinator
+// that accepts a connection but never answers then costs the worker
+// one attempt, and the retry/backoff loop goes on.
+func (w *Worker) attemptTimeout() time.Duration {
+	if w.hbEvery <= 0 {
+		return defaultLeaseTimeout
+	}
+	return 4 * w.hbEvery
+}
+
+// callOnce is a single JSON request/response round trip, bounded by
+// attemptTimeout.
 func (w *Worker) callOnce(ctx context.Context, path string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
+	ctx, cancel := context.WithTimeout(ctx, w.attemptTimeout())
+	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.cfg.URL+path, bytes.NewReader(body))
 	if err != nil {
 		return err

@@ -107,12 +107,17 @@ type Server struct {
 	started  time.Time
 }
 
+// defaultLeaseTimeout is a coordinator's lease timeout when its
+// Config names none. Workers also bound each request attempt by it
+// until /hello tells them the coordinator's own.
+const defaultLeaseTimeout = 30 * time.Second
+
 // New builds a coordinator: it rescans CheckpointDir and resumes every
 // sweep log found there, then registers the boot sweep (if any) the
 // way POST /sweeps registers a tenant, resuming its log if present.
 func New(cfg Config) (*Server, error) {
 	if cfg.LeaseTimeout <= 0 {
-		cfg.LeaseTimeout = 30 * time.Second
+		cfg.LeaseTimeout = defaultLeaseTimeout
 	}
 	if cfg.Chunks <= 0 {
 		cfg.Chunks = 32

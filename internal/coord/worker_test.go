@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -218,5 +219,55 @@ func TestWorkerConflictNotRetried(t *testing.T) {
 	defer mu.Unlock()
 	if submits != 1 {
 		t.Fatalf("rejected batch submitted %d times, want 1 (no retry)", submits)
+	}
+}
+
+// TestWorkerBlackHoleCoordinatorTimesOut checks the per-attempt
+// deadline: a coordinator that answers /hello with a 25 ms heartbeat
+// (a 100 ms lease timeout) and then accepts /lease requests but never
+// answers them costs the worker one bounded attempt each, so the
+// retry loop runs its course and Run fails instead of hanging.
+func TestWorkerBlackHoleCoordinatorTimesOut(t *testing.T) {
+	release := make(chan struct{})
+	var leases int
+	var mu sync.Mutex
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /hello", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(HelloResponse{HeartbeatMS: 25})
+	})
+	mux.HandleFunc("POST /lease", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		leases++
+		mu.Unlock()
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	})
+	hs := httptest.NewServer(mux)
+	defer hs.Close()
+	defer close(release) // before hs.Close, which waits for handlers
+
+	cfg := quickWorker(hs.URL, "w0")
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() { done <- NewWorker(cfg).Run(context.Background()) }()
+	select {
+	case err := <-done:
+		want := fmt.Sprintf("/lease after %d attempts", cfg.MaxAttempts)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Run against a black-holed /lease: %v, want an error containing %q", err, want)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("last attempt failed with %v, want its deadline exceeded", err)
+		}
+		t.Logf("gave up after %v: %v", time.Since(start), err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker still waiting on a black-holed coordinator after 10s")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if leases != cfg.MaxAttempts {
+		t.Fatalf("coordinator saw %d /lease attempts, want %d", leases, cfg.MaxAttempts)
 	}
 }

@@ -94,7 +94,7 @@ func NewEvalObs(r *obs.Registry) EvalObs {
 		HeapMax:      r.Gauge("sim_heap_depth_max", "Deepest pending-event heap observed."),
 
 		Search: mapping.SearchObs{
-			Schedules:     r.Counter("map_schedules_total", "List-schedule evaluations."),
+			Schedules:     r.Counter("map_schedules_total", "List-schedule passes, full or anneal-move suffix."),
 			CostEvals:     r.Counter("map_cost_evals_total", "Objective-cost evaluations."),
 			AnnealMoves:   r.Counter("map_anneal_moves_total", "Proposed annealing moves."),
 			AnnealAccepts: r.Counter("map_anneal_accepts_total", "Accepted annealing moves."),

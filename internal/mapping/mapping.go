@@ -139,6 +139,9 @@ type Evaluator struct {
 	peAvail []sim.Time
 	finish  []sim.Time
 	load    []sim.Time
+	// undo[i] is the finish that the last scheduleFrom pass overwrote
+	// at topological position i; it shares finish's backing array.
+	undo []sim.Time
 
 	// Obs is the optional search-instrumentation handle. The zero
 	// value is inert; attaching counters never changes which
@@ -182,7 +185,10 @@ func (e *Evaluator) Bind(g *taskgraph.Graph, plat *platform.Platform) {
 	e.durs = e.durs[:need]
 	e.infCost = growTime(e.infCost, nPE)
 	e.peAvail = growTime(e.peAvail, nPE)
-	e.finish = growTime(e.finish, n)
+	// finish and undo share one allocation, [finish | undo], so the
+	// annealer's undo log costs a fresh evaluator nothing extra.
+	e.finish = growTime(e.finish, 2*n)
+	e.finish, e.undo = e.finish[:n], e.finish[n:]
 	e.load = growTime(e.load, nPE)
 
 	for pe, c := range plat.Cores {
@@ -234,24 +240,30 @@ func (e *Evaluator) Capable(id int) []int { return e.capab[id] }
 // the makespan; with wantSlots true it allocates a fresh slot list
 // for the caller to keep.
 func (e *Evaluator) schedule(taskPE []int, wantSlots bool) (sim.Time, []Slot, error) {
-	e.Obs.Schedules.Inc()
-	v := e.view
-	order, err := v.TopoOrder()
+	order, err := e.view.TopoOrder()
 	if err != nil {
 		return 0, nil, err
 	}
-	nPE := len(e.plat.Cores)
-	peAvail := e.peAvail
-	for i := range peAvail {
-		peAvail[i] = 0
-	}
-	finish := e.finish
+	clear(e.peAvail)
 	var slots []Slot
 	if wantSlots {
 		slots = make([]Slot, 0, len(order))
 	}
-	var makespan sim.Time
-	for _, id := range order {
+	return e.scheduleFrom(taskPE, order, 0, 0, slots)
+}
+
+// scheduleFrom runs the list schedule over order[p:] on top of the
+// tasks before p: e.peAvail must hold each PE's end after them, and
+// makespan their latest finish. It saves every finish it overwrites
+// in e.undo, by position, so that restoreFrom can take the pass back.
+// A non-nil slots receives one slot per scheduled task.
+func (e *Evaluator) scheduleFrom(taskPE, order []int, p int, makespan sim.Time, slots []Slot) (sim.Time, []Slot, error) {
+	e.Obs.Schedules.Inc()
+	v := e.view
+	nPE := len(e.plat.Cores)
+	peAvail, finish, undo := e.peAvail, e.finish, e.undo
+	for i := p; i < len(order); i++ {
+		id := order[i]
 		pe := taskPE[id]
 		dur := e.durs[id*nPE+pe]
 		if dur < 0 {
@@ -277,8 +289,9 @@ func (e *Evaluator) schedule(taskPE []int, wantSlots bool) (sim.Time, []Slot, er
 		}
 		end := start + dur
 		peAvail[pe] = end
+		undo[i] = finish[id]
 		finish[id] = end
-		if wantSlots {
+		if slots != nil {
 			slots = append(slots, Slot{Task: id, PE: pe, Start: start, Finish: end})
 		}
 		if end > makespan {
@@ -286,6 +299,36 @@ func (e *Evaluator) schedule(taskPE []int, wantSlots bool) (sim.Time, []Slot, er
 		}
 	}
 	return makespan, slots, nil
+}
+
+// rescheduleMoved returns the makespan of taskPE after task moved
+// changed core, and moved's topological position p. e.finish must
+// hold the static schedule from before the move. The tasks before p
+// keep their finishes, so on its way to p it rebuilds e.peAvail and
+// the makespan from them — per-PE ends only grow in schedule order,
+// so a PE's end is its last finish there — and then re-schedules
+// order[p:] alone.
+func (e *Evaluator) rescheduleMoved(taskPE, order []int, moved int) (sim.Time, int, error) {
+	clear(e.peAvail)
+	var makespan sim.Time
+	p := 0
+	for ; order[p] != moved; p++ {
+		id := order[p]
+		end := e.finish[id]
+		e.peAvail[taskPE[id]] = end
+		makespan = max(makespan, end)
+	}
+	mk, _, err := e.scheduleFrom(taskPE, order, p, makespan, nil)
+	return mk, p, err
+}
+
+// restoreFrom takes back the scheduleFrom pass that started at
+// topological position p: every finish it overwrote comes back from
+// e.undo.
+func (e *Evaluator) restoreFrom(order []int, p int) {
+	for i := p; i < len(order); i++ {
+		e.finish[order[i]] = e.undo[i]
+	}
 }
 
 // evaluate is the legacy entry point kept for the equivalence tests:
@@ -525,12 +568,19 @@ func (e *Evaluator) throughputMap() ([]int, error) {
 // annealMap refines the list (or, for throughput, LPT) mapping with
 // simulated annealing over single-task moves, optimizing the selected
 // objective; deterministic under Options.Seed. Moves mutate the
-// current assignment in place and revert on reject; the throughput
-// objective's move cost is an incremental per-core load update, the
-// makespan objective recomputes the static schedule in scratch. Both
-// produce the exact cost values of a full recomputation, so the
-// accept/reject trajectory — and therefore the returned assignment —
-// is byte-identical to the copying implementation.
+// current assignment in place and revert on reject, and each move
+// costs only what it changes:
+//   - throughput: an incremental per-core load update;
+//   - makespan, no-op move (the task redraws its own core): the
+//     current cost, with nothing scheduled;
+//   - makespan, real move: e.finish holds the current assignment's
+//     static schedule, so rescheduleMoved re-runs only the moved
+//     task's topological suffix, logging the finishes it overwrites;
+//     a reject restores them from that log, an accept keeps them.
+//
+// Every move's cost equals a full recomputation's, integer for
+// integer, so the accept/reject trajectory — and therefore the
+// returned assignment — is byte-identical to full-schedule scoring.
 func (e *Evaluator) annealMap(opt Options) ([]int, error) {
 	g := e.g
 	nPE := len(e.plat.Cores)
@@ -544,6 +594,10 @@ func (e *Evaluator) annealMap(opt Options) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
+	order, err := e.view.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
 	iters := opt.Iterations
 	if iters <= 0 {
 		iters = 2000
@@ -553,8 +607,9 @@ func (e *Evaluator) annealMap(opt Options) ([]int, error) {
 	best := append([]int{}, cur...)
 	bestCost := curCost
 	temp := float64(curCost)
-	// Throughput: e.load now holds cur's per-core loads (filled by
-	// objectiveCost above); maintain it incrementally across moves.
+	// objectiveCost above left cur's static schedule in e.finish
+	// (makespan) or its per-core loads in e.load (throughput); every
+	// move keeps them current.
 	load := e.load
 	dur := func(id, pe int) sim.Time {
 		if d := e.durs[id*nPE+pe]; d >= 0 {
@@ -569,7 +624,9 @@ func (e *Evaluator) annealMap(opt Options) ([]int, error) {
 		newPE := cands[rng.Intn(len(cands))]
 		cur[tIdx] = newPE
 		var nc sim.Time
-		if opt.Objective == Throughput {
+		p := -1 // position of a re-scheduled suffix, to restore on reject
+		switch {
+		case opt.Objective == Throughput:
 			load[oldPE] -= dur(tIdx, oldPE)
 			load[newPE] += dur(tIdx, newPE)
 			for _, l := range load {
@@ -577,12 +634,13 @@ func (e *Evaluator) annealMap(opt Options) ([]int, error) {
 					nc = l
 				}
 			}
-		} else {
-			mk, _, err := e.schedule(cur, false)
-			if err != nil {
-				mk = sim.Forever
+		case newPE == oldPE:
+			nc = curCost
+		default:
+			// Every candidate core is capable, so this cannot fail.
+			if nc, p, err = e.rescheduleMoved(cur, order, tIdx); err != nil {
+				return nil, err
 			}
-			nc = mk
 		}
 		e.Obs.AnnealMoves.Inc()
 		dE := float64(nc - curCost)
@@ -599,6 +657,8 @@ func (e *Evaluator) annealMap(opt Options) ([]int, error) {
 			if opt.Objective == Throughput {
 				load[newPE] -= dur(tIdx, newPE)
 				load[oldPE] += dur(tIdx, oldPE)
+			} else if p >= 0 {
+				e.restoreFrom(order, p)
 			}
 		}
 		temp *= 0.995

@@ -103,8 +103,8 @@ func TestPreferredPEHonored(t *testing.T) {
 	plat := wirelessPlat()
 	g := taskgraph.NewGraph("pref")
 	task := g.AddTask(&taskgraph.Task{
-		Name: "filter",
-		WCET: map[platform.PEClass]int64{platform.RISC: 1000, platform.DSP: 900},
+		Name:        "filter",
+		WCET:        map[platform.PEClass]int64{platform.RISC: 1000, platform.DSP: 900},
 		PreferredPE: platform.DSP, HasPref: true,
 	})
 	_ = task

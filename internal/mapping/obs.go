@@ -10,7 +10,10 @@ import "mpsockit/internal/obs"
 // holds schedule and objectiveCost at 0 allocs/op with these
 // increments compiled in).
 type SearchObs struct {
-	// Schedules counts list-schedule evaluations (calls to schedule).
+	// Schedules counts list-schedule passes: one per full schedule,
+	// and one per anneal move that re-schedules the moved task's
+	// topological suffix. An anneal move that redraws the task's own
+	// core schedules nothing and counts none.
 	Schedules *obs.Counter
 	// CostEvals counts objective-cost evaluations of a candidate
 	// assignment.

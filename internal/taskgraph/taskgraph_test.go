@@ -94,9 +94,9 @@ func TestConcurrencyWorstCase(t *testing.T) {
 		g.AddTask(&Task{Name: name, WCET: map[platform.PEClass]int64{platform.RISC: cycles}})
 		return cg.AddApp(&App{Name: name, Graph: g, Period: period})
 	}
-	radio := mk("radio", 1_000_000, 10*sim.Millisecond)  // 100 Mcyc/s
-	video := mk("video", 4_000_000, 33*sim.Millisecond)  // ~121 Mcyc/s
-	ui := mk("ui", 200_000, 50*sim.Millisecond)          // 4 Mcyc/s
+	radio := mk("radio", 1_000_000, 10*sim.Millisecond)     // 100 Mcyc/s
+	video := mk("video", 4_000_000, 33*sim.Millisecond)     // ~121 Mcyc/s
+	ui := mk("ui", 200_000, 50*sim.Millisecond)             // 4 Mcyc/s
 	browser := mk("browser", 3_000_000, 20*sim.Millisecond) // 150 Mcyc/s
 
 	// Radio runs with everything; video and browser never overlap.

@@ -23,7 +23,7 @@ func CarRadioGraph() *dataflow.Graph {
 	stereo := g.AddActor("stereo", 40_000, 90_000) // L-only phase, L+R phase
 	dac := g.AddActor("dac", 15_000)
 
-	g.ConnectSDF(sample, fir, 1, 4, 0)            // decimate by 4
+	g.ConnectSDF(sample, fir, 1, 4, 0) // decimate by 4
 	g.ConnectSDF(fir, demod, 1, 1, 0)
 	g.Connect(demod, stereo, []int{1}, []int{1, 1}, 0)
 	g.Connect(stereo, dac, []int{1, 1}, []int{1}, 0)

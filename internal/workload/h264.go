@@ -218,8 +218,8 @@ func H264Spec(w, h, nFrames, workers int, qp int32, seed uint64) *cic.Spec {
 		lo, hi := rowsOf(wk)
 		spec.Tasks = append(spec.Tasks, &cic.TaskSpec{
 			Name: fmt.Sprintf("enc%d", wk), Firings: nPairs,
-			In:  []cic.PortSpec{{Name: "i", Rate: 1, TokenInts: 1}},
-			Out: []cic.PortSpec{{Name: "o", Rate: 1, TokenInts: maxTok}},
+			In:              []cic.PortSpec{{Name: "i", Rate: 1, TokenInts: 1}},
+			Out:             []cic.PortSpec{{Name: "o", Rate: 1, TokenInts: maxTok}},
 			CyclesPerFiring: cyc(int64(400_000 * (hi - lo))),
 			CodeBytes:       24 << 10, DataBytes: 64 << 10,
 			Go: func(ctx *cic.TaskCtx) {
