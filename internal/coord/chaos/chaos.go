@@ -3,8 +3,9 @@
 // and, driven by a seeded RNG, drops responses after the server has
 // processed the request (the nastiest failure — the work happened but
 // the client believes it did not, so it retries and the server must
-// absorb the duplicate), duplicates requests, delays them, and stalls
-// heartbeats; KillSwitch kills a worker mid-lease after a point quota.
+// absorb the duplicate), black-holes them (processed, then never
+// answered), duplicates requests, delays them, and stalls heartbeats;
+// KillSwitch kills a worker mid-lease after a point quota.
 // Every fault decision comes from the policy seed, never the clock, so
 // a failing chaos run replays exactly under the same seeds — and the
 // coordinator's byte-identity guarantee means none of it may change a
@@ -39,6 +40,13 @@ type Policy struct {
 	// and retries work the coordinator already accepted. This is the
 	// fault that proves acceptance is idempotent.
 	Drop float64
+	// BlackHole is the probability the server processes the request
+	// but the answer never arrives: the transport holds the call until
+	// the request's context ends, the way a peer that accepts a
+	// connection and goes silent does. Only a client that bounds each
+	// attempt gets past one. A request drawn for a black hole is not
+	// also drawn for Drop.
+	BlackHole float64
 	// Dup is the probability the request is sent twice back-to-back
 	// (a replay); the first response is discarded.
 	Dup float64
@@ -62,9 +70,9 @@ type Transport struct {
 
 	mu  sync.Mutex
 	rng *xrand.Rand
-	// Drops, Dups, Delays and Stalls count injected faults, so tests
-	// can assert the chaos actually fired.
-	Drops, Dups, Delays, Stalls int
+	// Drops, BlackHoles, Dups, Delays and Stalls count injected
+	// faults, so tests can assert the chaos actually fired.
+	Drops, BlackHoles, Dups, Delays, Stalls int
 }
 
 // NewTransport wraps base (nil means http.DefaultTransport) with the
@@ -80,38 +88,52 @@ func NewTransport(p Policy, base http.RoundTripper) *Transport {
 func (t *Transport) Faults() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.Drops + t.Dups + t.Delays + t.Stalls
+	return t.Drops + t.BlackHoles + t.Dups + t.Delays + t.Stalls
+}
+
+// fate is one request's drawn faults.
+type fate struct {
+	stall, dup, blackHole, drop bool
+	delay                       time.Duration
 }
 
 // roll draws the fault decisions for one request under the lock, so
 // concurrent requests consume the RNG stream in a serialized (if
-// schedule-dependent) order.
-func (t *Transport) roll(path string) (stall, dup, drop bool, delay time.Duration) {
+// schedule-dependent) order. A zero probability draws nothing, so a
+// policy's fault sequence does not depend on fault kinds it leaves
+// at zero.
+func (t *Transport) roll(path string) (f fate) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.policy.StallHeartbeats && strings.HasSuffix(path, "/heartbeat") {
 		t.Stalls++
-		return true, false, false, 0
+		f.stall = true
+		return f
 	}
 	if t.policy.Delay > 0 && t.policy.MaxDelay > 0 && t.rng.Bool(t.policy.Delay) {
-		delay = time.Duration(t.rng.Float64() * float64(t.policy.MaxDelay))
+		f.delay = time.Duration(t.rng.Float64() * float64(t.policy.MaxDelay))
 		t.Delays++
 	}
 	if t.policy.Dup > 0 && t.rng.Bool(t.policy.Dup) {
-		dup = true
+		f.dup = true
 		t.Dups++
 	}
+	if t.policy.BlackHole > 0 && t.rng.Bool(t.policy.BlackHole) {
+		f.blackHole = true
+		t.BlackHoles++
+		return f
+	}
 	if t.policy.Drop > 0 && t.rng.Bool(t.policy.Drop) {
-		drop = true
+		f.drop = true
 		t.Drops++
 	}
-	return false, dup, drop, delay
+	return f
 }
 
 // RoundTrip applies the policy to one request.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	stall, dup, drop, delay := t.roll(req.URL.Path)
-	if stall {
+	f := t.roll(req.URL.Path)
+	if f.stall {
 		return nil, ErrInjected
 	}
 	// Buffer the body so the request can be replayed for Dup (and so
@@ -125,8 +147,8 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 			return nil, err
 		}
 	}
-	if delay > 0 {
-		time.Sleep(delay)
+	if f.delay > 0 {
+		time.Sleep(f.delay)
 	}
 	send := func() (*http.Response, error) {
 		r := req.Clone(req.Context())
@@ -136,7 +158,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 		return t.base.RoundTrip(r)
 	}
-	if dup {
+	if f.dup {
 		if resp, err := send(); err == nil {
 			// Discard the first response; the replay's answer is the
 			// one the client sees.
@@ -148,10 +170,13 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	if drop {
+	if f.drop || f.blackHole {
 		// The server processed the request; the client never learns.
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
+		if f.blackHole {
+			<-req.Context().Done()
+		}
 		return nil, ErrInjected
 	}
 	return resp, nil

@@ -14,12 +14,13 @@ import (
 	"mpsockit/internal/coord/chaos"
 )
 
-// TestChaosSweepByteIdentity is the PR's headline guarantee: the
+// TestChaosSweepByteIdentity is the farm's headline guarantee: the
 // default sweep, coordinated across 8 workers under randomized chaos
-// — dropped acks, duplicated requests, injected latency, stalled
-// heartbeats, workers killed mid-lease and respawned — produces a
-// final file byte-identical to a fault-free single-worker run. In
-// -short mode the smoke sweep stands in for the default one.
+// — dropped acks, black-holed requests, duplicated requests, injected
+// latency, stalled heartbeats, workers killed mid-lease and respawned
+// — produces a final file byte-identical to a fault-free
+// single-worker run. In -short mode the smoke sweep stands in for the
+// default one.
 func TestChaosSweepByteIdentity(t *testing.T) {
 	spec := "default"
 	if testing.Short() {
@@ -39,10 +40,13 @@ func runChaosSweep(t *testing.T, spec string, seed, chaosSeed uint64, workers in
 	t.Helper()
 	ref := referenceBytes(t, spec, seed)
 	dir := t.TempDir()
+	// A black-holed request costs its worker one attempt timeout, the
+	// lease timeout, so it is kept short.
+	const leaseTimeout = 200 * time.Millisecond
 	srv, err := New(Config{
 		Spec:           spec,
 		Seed:           seed,
-		LeaseTimeout:   400 * time.Millisecond,
+		LeaseTimeout:   leaseTimeout,
 		Chunks:         4 * workers,
 		CheckpointPath: filepath.Join(dir, "coord.jsonl"),
 	})
@@ -56,12 +60,13 @@ func runChaosSweep(t *testing.T, spec string, seed, chaosSeed uint64, workers in
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		// Per-worker fault mix, all derived from the chaos seed: every
-		// worker drops and duplicates, a third also stalls heartbeats
-		// (so live workers lose leases and late-ack), and early
-		// incarnations get killed mid-lease.
+		// worker drops, black-holes and duplicates, a third also stalls
+		// heartbeats (so live workers lose leases and late-ack), and
+		// early incarnations get killed mid-lease.
 		tr := chaos.NewTransport(chaos.Policy{
 			Seed:            chaosSeed<<8 | uint64(i),
 			Drop:            0.15,
+			BlackHole:       0.05,
 			Dup:             0.15,
 			Delay:           0.25,
 			MaxDelay:        2 * time.Millisecond,
@@ -84,11 +89,14 @@ func runChaosSweep(t *testing.T, spec string, seed, chaosSeed uint64, workers in
 				}
 				ctx, cancel := context.WithCancel(context.Background())
 				cfg := WorkerConfig{
-					URL:           hs.URL,
-					ID:            id,
-					FlushPoints:   3,
-					Workers:       1,
-					Client:        &http.Client{Transport: tr},
+					URL:         hs.URL,
+					ID:          id,
+					FlushPoints: 3,
+					Workers:     1,
+					// The client timeout bounds a black-holed /hello:
+					// until /hello answers, a worker bounds an
+					// attempt only by the 30 s default lease timeout.
+					Client:        &http.Client{Transport: tr, Timeout: 2 * leaseTimeout},
 					CheckpointDir: dir,
 					MaxAttempts:   5,
 					BackoffBase:   time.Millisecond,
@@ -116,16 +124,20 @@ func runChaosSweep(t *testing.T, spec string, seed, chaosSeed uint64, workers in
 	case <-time.After(60 * time.Second):
 		t.Fatalf("sweep did not complete: %+v", srv.Status())
 	}
-	faults := 0
+	faults, blackHoles := 0, 0
 	for _, tr := range transports {
 		faults += tr.Faults()
+		blackHoles += tr.BlackHoles
 	}
 	if faults == 0 {
 		t.Fatal("chaos policy injected no faults; the run proved nothing")
 	}
+	if blackHoles == 0 {
+		t.Fatal("chaos policy black-holed no request; the silent-peer path went untested")
+	}
 	st := srv.Status()
-	t.Logf("chaos seed %d: %d points, %d duplicate lines absorbed, %d faults injected",
-		chaosSeed, st.Done, st.Duplicates, faults)
+	t.Logf("chaos seed %d: %d points, %d duplicate lines absorbed, %d faults injected (%d black holes)",
+		chaosSeed, st.Done, st.Duplicates, faults, blackHoles)
 
 	var got bytes.Buffer
 	if err := srv.WriteFinal(&got); err != nil {
@@ -176,5 +188,43 @@ func TestChaosTransportDeterminism(t *testing.T) {
 	p3, _ := sequence(12)
 	if p1 == p3 {
 		t.Fatal("different seeds produced an identical fault pattern")
+	}
+}
+
+// TestChaosBlackHole: a black-holed request reaches the server and is
+// processed, then the call blocks until the request context ends, and
+// the fault is counted.
+func TestChaosBlackHole(t *testing.T) {
+	var served int
+	var mu sync.Mutex
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		served++
+		mu.Unlock()
+		w.Write([]byte("{}"))
+	}))
+	defer hs.Close()
+	tr := chaos.NewTransport(chaos.Policy{Seed: 1, BlackHole: 1}, nil)
+	const timeout = 50 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+"/results", bytes.NewReader([]byte("{}")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := (&http.Client{Transport: tr}).Do(req); err == nil {
+		t.Fatal("black-holed request returned a response")
+	}
+	if waited := time.Since(start); waited < timeout {
+		t.Fatalf("black hole returned after %v, before the %v request context ended", waited, timeout)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if served != 1 {
+		t.Fatalf("server processed %d requests, want 1", served)
+	}
+	if tr.BlackHoles != 1 || tr.Faults() != 1 {
+		t.Fatalf("BlackHoles = %d, Faults() = %d; want 1 and 1", tr.BlackHoles, tr.Faults())
 	}
 }

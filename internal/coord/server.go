@@ -82,8 +82,12 @@ type Config struct {
 // Server is the multi-tenant sweep coordinator: it owns the sweep
 // registry, schedules lease grants fairly across tenants, and serves
 // the worker protocol plus the registry API over HTTP. All state
-// shares one mutex — the work units are whole simulation runs on the
-// workers, so coordination is never the bottleneck.
+// shares one mutex, so what bounds the farm's coordination cost is
+// the work done under it. A submit parses and checks its lines,
+// appends them to the sweep log and, every ProgressEvery points,
+// takes a front snapshot; the accumulator keeps per-group Pareto
+// archives, so a snapshot costs O(|front|) rather than a rescan of
+// every completed result.
 type Server struct {
 	cfg Config
 
@@ -727,6 +731,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 // handleFront (GET /sweeps/{id}/front) serves the incremental Pareto
 // and hypervolume snapshot over the sweep's accepted results so far.
+// The accumulator keeps the fronts live, so the lock covers reading
+// them and copying only the front's results.
 func (s *Server) handleFront(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	sw := s.lookupSweepLocked(w, r)
@@ -740,14 +746,13 @@ func (s *Server) handleFront(w http.ResponseWriter, r *http.Request) {
 		Total:    sw.acc.Total(),
 		Complete: sw.acc.Complete(),
 	}
-	completed := sw.acc.Completed()
-	s.mu.Unlock()
-	// Front and hypervolume run on the copied slice outside the lock:
-	// snapshot math never blocks the lease path.
-	for _, i := range dse.GroupedFront(completed) {
-		snap.Front = append(snap.Front, completed[i])
+	ids, hvs := sw.acc.Front()
+	results := sw.acc.Results()
+	for _, id := range ids {
+		snap.Front = append(snap.Front, results[id])
 	}
-	snap.Hypervolumes = dse.Hypervolumes(completed)
+	snap.Hypervolumes = hvs
+	s.mu.Unlock()
 	writeJSON(w, snap)
 }
 
@@ -981,18 +986,17 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // logProgressLocked emits a sweep's live per-workload front snapshot
-// every ProgressEvery accepted points: merge is incremental, so the
-// Pareto fronts and hypervolumes of the completed subset are available
-// the whole time the sweep runs.
+// every ProgressEvery accepted points. The accumulator keeps each
+// workload group's Pareto archive as results arrive, so a snapshot
+// costs O(|front|) under the lock, not a rescan of the sweep.
 func (s *Server) logProgressLocked(sw *sweep) {
 	if s.cfg.ProgressEvery <= 0 || sw.acc.Done() < sw.frontAt+s.cfg.ProgressEvery {
 		return
 	}
 	sw.frontAt = sw.acc.Done()
-	completed := sw.acc.Completed()
-	front := dse.GroupedFront(completed)
+	front, hvs := sw.acc.Front()
 	var hv bytes.Buffer
-	for i, f := range dse.Hypervolumes(completed) {
+	for i, f := range hvs {
 		if i > 0 {
 			hv.WriteString(" ")
 		}

@@ -21,6 +21,11 @@ import (
 // and the late or repeated lines land as duplicates instead of
 // corruption.
 //
+// Every accepted result also enters a per-workload-group Pareto
+// archive (groups resolved on first sight), so the live grouped front
+// and its hypervolumes (Front) cost O(|front|), not a rescan of every
+// result.
+//
 // The zero Accumulator is not usable; construct with NewAccumulator.
 // Methods are not safe for concurrent use — callers serialize (the
 // coordinator holds its own lock).
@@ -30,6 +35,7 @@ type Accumulator struct {
 	results []Result
 	done    int
 	dups    int
+	fronts  archive
 }
 
 // NewAccumulator builds an empty accumulator over the expanded point
@@ -77,6 +83,7 @@ func (a *Accumulator) AddResult(r Result, line []byte) (added bool, err error) {
 	a.raw[id] = append([]byte(nil), line...)
 	a.results[id] = r
 	a.done++
+	a.fronts.add(id, r)
 	return true, nil
 }
 
@@ -118,11 +125,10 @@ func (a *Accumulator) Missing() (count, firstID int) {
 // Missing) first when totality matters.
 func (a *Accumulator) Results() []Result { return a.results }
 
-// Completed returns the accepted results in point-ID order, skipping
-// missing points — the input for live Pareto-front and hypervolume
-// snapshots while a sweep is still running (GroupedFront and
-// Hypervolumes are well-defined on any subset; fronts only tighten as
-// results arrive).
+// Completed returns a copy of the accepted results in point-ID order,
+// skipping missing points. It costs O(Total) and copies every
+// accepted result, so live snapshots read Front instead; GroupedFront
+// and Hypervolumes over Completed are Front's batch equivalents.
 func (a *Accumulator) Completed() []Result {
 	out := make([]Result, 0, a.done)
 	for id, raw := range a.raw {
@@ -131,6 +137,16 @@ func (a *Accumulator) Completed() []Result {
 		}
 	}
 	return out
+}
+
+// Front returns the live grouped Pareto front of the accepted results
+// as ascending point IDs, and every workload group's hypervolume in
+// Hypervolumes order. It equals GroupedFront (positions mapped to
+// point IDs) and Hypervolumes over Completed, whatever order the
+// results arrived in, and costs O(|front|) plus the hypervolume of
+// each group's front.
+func (a *Accumulator) Front() ([]int, []FrontHV) {
+	return a.fronts.front(), a.fronts.hypervolumes()
 }
 
 // WriteTo streams the accumulated sweep — the header followed by

@@ -19,32 +19,13 @@ import (
 // hypervolumes. Failed points are skipped; a set with no evaluable
 // points returns the zero reference.
 func RefPoint(results []Result) [3]float64 {
-	var ref [3]float64
-	evaluable := false
+	var g group
 	for _, r := range results {
-		if r.Err != "" {
-			continue
-		}
-		evaluable = true
-		lat, energy, area := Objectives(r)
-		obj := [3]float64{lat, energy, area}
-		for d := 0; d < 3; d++ {
-			if obj[d] > ref[d] {
-				ref[d] = obj[d]
-			}
+		if r.Err == "" {
+			g.widen(objVec(r))
 		}
 	}
-	if !evaluable {
-		return ref
-	}
-	for d := 0; d < 3; d++ {
-		if ref[d] == 0 {
-			ref[d] = 1
-		} else {
-			ref[d] *= 1.01
-		}
-	}
-	return ref
+	return g.ref()
 }
 
 // Hypervolume computes the exact volume dominated by pts (minimized
@@ -164,68 +145,14 @@ func Hypervolumes(results []Result) []FrontHV {
 // worse front higher. Fronts are still extracted from results alone
 // — baseline only shapes the measurement box.
 func HypervolumesShared(results, baseline []Result) []FrontHV {
-	groups := map[string][]Result{}
-	refGroups := map[string][]Result{}
-	for _, r := range results {
-		key := groupKey(r.Point)
-		groups[key] = append(groups[key], r)
-		refGroups[key] = append(refGroups[key], r)
+	var a archive
+	for i, r := range results {
+		a.add(i, r)
 	}
 	for _, r := range baseline {
-		key := groupKey(r.Point)
-		if _, ours := groups[key]; ours {
-			refGroups[key] = append(refGroups[key], r)
-		}
+		a.widen(r)
 	}
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var out []FrontHV
-	for _, k := range keys {
-		sub := groups[k]
-		refSet := refGroups[k]
-		ref := RefPoint(refSet)
-		front := Front(sub)
-		ideal := ref
-		for _, r := range refSet {
-			if r.Err != "" {
-				continue
-			}
-			lat, energy, area := Objectives(r)
-			obj := [3]float64{lat, energy, area}
-			for d := 0; d < 3; d++ {
-				if obj[d] < ideal[d] {
-					ideal[d] = obj[d]
-				}
-			}
-		}
-		evaluable := 0
-		for _, r := range sub {
-			if r.Err == "" {
-				evaluable++
-			}
-		}
-		var pts [][3]float64
-		for _, i := range front {
-			lat, energy, area := Objectives(sub[i])
-			pts = append(pts, [3]float64{lat, energy, area})
-		}
-		hv := FrontHV{
-			Workload: WorkloadSpec{Kind: sub[0].Point.Workload, N: sub[0].Point.N}.String(),
-			Points:   evaluable,
-			Front:    len(front),
-			Ref:      ref,
-			Volume:   Hypervolume(pts, ref),
-		}
-		denom := (ref[0] - ideal[0]) * (ref[1] - ideal[1]) * (ref[2] - ideal[2])
-		if denom > 0 {
-			hv.Norm = hv.Volume / denom
-		}
-		out = append(out, hv)
-	}
-	return out
+	return a.hypervolumes()
 }
 
 // BaselineOverlaps reports whether any baseline result falls in a
@@ -237,12 +164,12 @@ func HypervolumesShared(results, baseline []Result) []FrontHV {
 // should treat that as an error rather than report numbers that look
 // shared but are not.
 func BaselineOverlaps(results, baseline []Result) bool {
-	groups := map[string]bool{}
+	groups := map[groupID]bool{}
 	for _, r := range results {
-		groups[groupKey(r.Point)] = true
+		groups[groupOf(r.Point)] = true
 	}
 	for _, r := range baseline {
-		if groups[groupKey(r.Point)] {
+		if groups[groupOf(r.Point)] {
 			return true
 		}
 	}

@@ -20,66 +20,22 @@ func Dominates(a, b Result) bool {
 	if a.Err != "" || b.Err != "" {
 		return false
 	}
-	al, ae, aa := Objectives(a)
-	bl, be, ba := Objectives(b)
-	if al > bl || ae > be || aa > ba {
-		return false
-	}
-	return al < bl || ae < be || aa < ba
+	return dominates(objVec(a), objVec(b))
 }
 
-// Front returns the indices of the non-dominated results, ascending.
-func Front(results []Result) []int {
-	var front []int
-	for i, r := range results {
-		if r.Err != "" {
-			continue
-		}
-		dominated := false
-		for j, other := range results {
-			if i != j && Dominates(other, r) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			front = append(front, i)
-		}
-	}
-	sort.Ints(front)
-	return front
-}
-
-// groupKey identifies a point's workload instance: points only
-// compete (for Pareto membership and hypervolume) against points
-// evaluating the same workload with the same size and generator seed.
-func groupKey(p Point) string {
-	return fmt.Sprintf("%s/%d/%d", p.Workload, p.N, p.WorkloadSeed)
-}
-
-// GroupedFront returns the union of per-workload Pareto fronts:
-// design points only compete with points evaluating the same workload
-// instance, so the answer reads as "the non-dominated platform ×
-// mapping × fidelity choices for each application" rather than
-// "the cheapest application wins".
+// GroupedFront returns the union of per-workload Pareto fronts as
+// ascending indices into results: design points only compete with
+// points evaluating the same workload instance, so the answer reads
+// as "the non-dominated platform × mapping × fidelity choices for
+// each application" rather than "the cheapest application wins". It
+// feeds results through the same per-group archive an Accumulator
+// keeps live, in O(n·|front|).
 func GroupedFront(results []Result) []int {
-	groups := map[string][]int{}
+	var a archive
 	for i, r := range results {
-		key := groupKey(r.Point)
-		groups[key] = append(groups[key], i)
+		a.add(i, r)
 	}
-	var front []int
-	for _, idx := range groups {
-		sub := make([]Result, len(idx))
-		for j, i := range idx {
-			sub[j] = results[i]
-		}
-		for _, j := range Front(sub) {
-			front = append(front, idx[j])
-		}
-	}
-	sort.Ints(front)
-	return front
+	return a.front()
 }
 
 // FrontTable renders the front as text, one design per line, best

